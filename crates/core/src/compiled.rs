@@ -35,7 +35,7 @@ use xdx_patterns::compiled::{holds_in_matches, CompiledPattern, InternedLabels};
 use xdx_patterns::plan::{EvalScratch, PatternPlan, TreeIndex};
 use xdx_patterns::{TreePattern, Var};
 use xdx_relang::repair::{RepairConfig, RepairContext};
-use xdx_xmltree::{CompiledDtd, DtdError, ElementType, NodeId, NullGen, Sym, Value, XmlTree};
+use xdx_xmltree::{CompiledDtd, Dtd, DtdError, ElementType, NodeId, NullGen, Sym, Value, XmlTree};
 
 /// One STD with its setting-dependent analyses precomputed.
 #[derive(Debug, Clone)]
@@ -245,6 +245,9 @@ pub struct CompiledSetting<'s> {
     nested: OnceLock<Option<NestedRelationalPlan>>,
     source_solver: OnceLock<PatternSatisfiability>,
     target_solver: OnceLock<PatternSatisfiability>,
+    /// Is the chase the identity on every canonical pre-solution of this
+    /// setting (see [`CompiledSetting::chase_free`])?
+    chase_free: bool,
 }
 
 /// How a [`CompiledSetting`] holds its setting: borrowed (the historical
@@ -338,7 +341,8 @@ impl<'s> CompiledSetting<'s> {
                     target_uses_wildcard: std.target.uses_wildcard(),
                 }
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let chase_free = is_chase_free(&setting.target_dtd, &stds);
         CompiledSetting {
             setting: hold,
             source,
@@ -349,6 +353,7 @@ impl<'s> CompiledSetting<'s> {
             nested: OnceLock::new(),
             source_solver: OnceLock::new(),
             target_solver: OnceLock::new(),
+            chase_free,
         }
     }
 
@@ -370,6 +375,23 @@ impl<'s> CompiledSetting<'s> {
     /// The compiled STDs, in setting order.
     pub fn stds(&self) -> &[CompiledStd] {
         &self.stds
+    }
+
+    /// Is the chase of Section 6.1 provably the identity on every canonical
+    /// pre-solution of this setting? Decided once, from the target DTD and
+    /// the STD target patterns alone: the target DTD is nested-relational,
+    /// its root declares no attributes and only `?`/`*` factors, every
+    /// label an STD stamps at the root is `*`, every STD target is fully
+    /// specified and wildcard-free, and every other stamped node carries
+    /// exactly its declared attributes and child counts its rule allows.
+    /// `crates/core/DESIGN.md` shows why each chase step is then a no-op.
+    ///
+    /// When true, [`CompiledSetting::canonical_solution_with`] returns the
+    /// pre-solution without chasing it and
+    /// [`CompiledSetting::check_instance_consistency_with`] is source
+    /// conformance alone; settings that fail any premise take the chase.
+    pub fn chase_free(&self) -> bool {
+        self.chase_free
     }
 
     // ------------------------------------------------------------------
@@ -805,6 +827,10 @@ impl<'s> CompiledSetting<'s> {
     /// [`crate::engine::BatchEngine`] workers and the serving dispatcher.
     /// Nulls still start at `⊥0` per document, so results are identical to
     /// the scratch-free call.
+    ///
+    /// On a [chase-free](CompiledSetting::chase_free) setting the
+    /// pre-solution is already a fixpoint of the chase, so it is returned
+    /// as is: no chase runs and `scratch.counters` stay untouched.
     pub fn canonical_solution_with(
         &self,
         source_tree: &XmlTree,
@@ -812,20 +838,28 @@ impl<'s> CompiledSetting<'s> {
     ) -> Result<XmlTree, SolutionError> {
         let mut nulls = NullGen::new();
         let mut tree = self.canonical_presolution_with(source_tree, &mut nulls, scratch)?;
-        self.chase_counted(&mut tree, &mut nulls, &mut scratch.counters)?;
+        if !self.chase_free {
+            self.chase_counted(&mut tree, &mut nulls, &mut scratch.counters)?;
+        }
         Ok(tree)
     }
 
     /// Is `source_tree` a conforming source instance that admits a solution
     /// (the per-document consistency check of
     /// [`crate::engine::BatchEngine::check_consistency_batch`])?
+    ///
+    /// On a [chase-free](CompiledSetting::chase_free) setting every
+    /// pre-solution is a solution (its STDs are fully specified and
+    /// wildcard-free, so building it cannot fail, and the chase is the
+    /// identity), so the check is source conformance alone. Otherwise it
+    /// builds the canonical solution and reports whether that succeeded.
     pub fn check_instance_consistency_with(
         &self,
         source_tree: &XmlTree,
         scratch: &mut ExchangeScratch,
     ) -> bool {
         self.source.conforms(source_tree)
-            && self.canonical_solution_with(source_tree, scratch).is_ok()
+            && (self.chase_free || self.canonical_solution_with(source_tree, scratch).is_ok())
     }
 
     /// Canonical solution plus the certain answers of a pre-planned query
@@ -1032,12 +1066,32 @@ impl<'s> CompiledSetting<'s> {
     }
 }
 
+/// The compile-time premise of [`CompiledSetting::chase_free`].
+fn is_chase_free(target: &Dtd, stds: &[CompiledStd]) -> bool {
+    let root = target.root();
+    let Some(root_factors) = target.rule(root).nested_relational_factors() else {
+        return false;
+    };
+    target.is_nested_relational()
+        && target.attrs_of(root).is_empty()
+        && root_factors.iter().all(|f| f.multiplicity.min() == 0)
+        && stds.iter().all(|cstd| {
+            cstd.target_fully_specified
+                && !cstd.target_uses_wildcard
+                && cstd
+                    .target_template
+                    .as_ref()
+                    .is_some_and(|t| t.stamps_chase_clean(target, &root_factors))
+        })
+}
+
 impl std::fmt::Debug for CompiledSetting<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledSetting")
             .field("stds", &self.stds.len())
             .field("source_elements", &self.source.num_elements())
             .field("target_elements", &self.target.num_elements())
+            .field("chase_free", &self.chase_free)
             .finish()
     }
 }

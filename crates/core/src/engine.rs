@@ -94,7 +94,9 @@ impl<'s> BatchEngine<'s> {
     /// (a canonical solution exists iff any solution does — Lemma 6.15), so
     /// like [`CompiledSetting::canonical_solution`] this requires
     /// fully-specified STDs; outside that class the per-tree answer is
-    /// `false` exactly when the sequential call would error.
+    /// `false` exactly when the sequential call would error. On a
+    /// [chase-free](CompiledSetting::chase_free) setting the answer is
+    /// source conformance alone.
     pub fn check_consistency_batch(&self, trees: &[XmlTree]) -> Vec<bool> {
         self.run(trees, |scratch, tree| {
             self.compiled.check_instance_consistency_with(tree, scratch)

@@ -27,10 +27,11 @@
 //! verbatim and the two are differential-tested (unit tests below and the
 //! randomized `tests/chase_differential.rs` harness).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use xdx_patterns::eval::Assignment;
 use xdx_patterns::{LabelTest, Term, TreePattern, Var};
-use xdx_xmltree::{AttrName, ElementType, NodeId, NullGen, Value, XmlTree};
+use xdx_relang::{Multiplicity, NestedFactor};
+use xdx_xmltree::{AttrName, Dtd, ElementType, NodeId, NullGen, Value, XmlTree};
 
 /// Where one stamped attribute value comes from (see the module docs).
 #[derive(Debug, Clone)]
@@ -163,6 +164,66 @@ impl TargetTemplate {
             );
         }
     }
+
+    /// Is every fragment this template stamps already a fixpoint of the
+    /// chase under the nested-relational `dtd`, whatever the match? True
+    /// when every label stamped directly below the root is a `*` factor of
+    /// `root_factors`, and every stamped node has a declared label, carries
+    /// exactly that label's declared attributes, and has child counts its
+    /// label's factors allow. The argument is in `crates/core/DESIGN.md`.
+    pub(crate) fn stamps_chase_clean(
+        &self,
+        dtd: &Dtd,
+        root_factors: &[NestedFactor<ElementType>],
+    ) -> bool {
+        // Child-label counts per slot (the root's children under `u32::MAX`).
+        let mut children: BTreeMap<u32, BTreeMap<&ElementType, u64>> = BTreeMap::new();
+        for (parent, label) in &self.nodes {
+            *children
+                .entry(*parent)
+                .or_default()
+                .entry(label)
+                .or_default() += 1;
+        }
+        let root_ok = children.get(&u32::MAX).is_none_or(|counts| {
+            counts.keys().all(|&label| {
+                root_factors
+                    .iter()
+                    .any(|f| &f.symbol == label && f.multiplicity == Multiplicity::Star)
+            })
+        });
+        root_ok
+            && self.nodes.iter().enumerate().all(|(slot, (_, label))| {
+                let slot = slot as u32;
+                let stamped: BTreeSet<&AttrName> = self
+                    .attrs
+                    .iter()
+                    .filter(|(s, ..)| *s == slot)
+                    .map(|(_, name, _)| name)
+                    .collect();
+                let Some(factors) = dtd.rule(label).nested_relational_factors() else {
+                    return false;
+                };
+                let empty = BTreeMap::new();
+                let counts = children.get(&slot).unwrap_or(&empty);
+                dtd.has_element(label)
+                    && stamped.into_iter().eq(dtd.attrs_of(label).iter())
+                    && counts_fit(&factors, counts)
+            })
+    }
+}
+
+/// Do these fixed child-label counts satisfy a nested-relational rule? No
+/// label outside the factors, count 0 only for `?`/`*`, count > 1 only for
+/// `+`/`*`.
+fn counts_fit(factors: &[NestedFactor<ElementType>], counts: &BTreeMap<&ElementType, u64>) -> bool {
+    counts
+        .keys()
+        .all(|&label| factors.iter().any(|f| &f.symbol == label))
+        && factors.iter().all(|f| {
+            let count = counts.get(&f.symbol).copied().unwrap_or(0);
+            (count > 0 || f.multiplicity.min() == 0) && (count <= 1 || f.multiplicity.unbounded())
+        })
 }
 
 /// The dense index of `var` in `table`, appending it on first sight. Target

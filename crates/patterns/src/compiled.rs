@@ -1,22 +1,21 @@
-//! Interned-symbol pattern evaluation — the compiled fast path.
+//! Interned-symbol patterns — the input of the planned evaluator.
 //!
-//! [`crate::eval`] compares element-type labels by string content at every
-//! candidate node and deduplicates assignments by linear scans. For the
-//! compile-once/evaluate-many pipeline (`CompiledSetting` in `xdx-core`),
-//! patterns are instead resolved **once** against a [`CompiledDtd`]'s symbol
-//! interner: label tests become dense `u32` [`Sym`] comparisons (a pattern
-//! label the DTD does not declare falls back to a direct label comparison,
-//! preserving the reference semantics on trees that do not conform to the
-//! DTD), the tree's labels are interned once per evaluation, and assignment
-//! sets are deduplicated through a `BTreeSet`.
+//! [`crate::eval::all_matches_reference`] compares element-type labels by
+//! string content at every candidate node and deduplicates assignments by
+//! linear scans. For the compile-once/evaluate-many pipeline
+//! (`CompiledSetting` in `xdx-core`), patterns are instead resolved **once**
+//! against a [`CompiledDtd`]'s symbol interner: label tests become dense
+//! `u32` [`Sym`] comparisons (a pattern label the DTD does not declare falls
+//! back to a direct label comparison, preserving the reference semantics on
+//! trees that do not conform to the DTD), and the tree's labels are interned
+//! once per evaluation. [`crate::plan`] evaluates the result.
 //!
 //! The reference evaluator stays the source of truth;
 //! [`all_matches_compiled`] is differential-tested against
-//! [`crate::eval::all_matches`].
+//! [`crate::eval::all_matches_reference`].
 
-use crate::eval::{merge_assignments, Assignment};
+use crate::eval::Assignment;
 use crate::pattern::{AttrBinding, LabelTest, Term, TreePattern};
-use std::collections::BTreeSet;
 use xdx_xmltree::{CompiledDtd, ElementType, NodeId, Sym, XmlTree};
 
 /// A label test resolved against an interner.
@@ -104,11 +103,6 @@ impl InternedLabels {
         }
     }
 
-    #[inline]
-    fn get(&self, node: NodeId) -> Option<Sym> {
-        self.labels[node.index()]
-    }
-
     /// The interned label per arena slot (used by
     /// [`crate::plan::TreeIndex`] to build candidate buckets without
     /// re-interning).
@@ -124,8 +118,7 @@ impl InternedLabels {
 /// `pattern` per call; the compiled layer in `xdx-core` holds
 /// [`crate::plan::PatternPlan`]s and per-tree [`crate::plan::TreeIndex`]es
 /// directly so the plan is built once per pattern and the index once per
-/// tree. The per-node recursion ([`matches_at_compiled`]) is retained for
-/// callers that need witness sets at a specific node.
+/// tree.
 pub fn all_matches_compiled(
     tree: &XmlTree,
     pattern: &CompiledPattern,
@@ -134,81 +127,6 @@ pub fn all_matches_compiled(
     let plan = crate::plan::PatternPlan::from_compiled(pattern);
     let index = crate::plan::TreeIndex::from_interned(tree, labels);
     plan.all_matches(tree, &index)
-}
-
-/// As [`all_matches_compiled`], via the enumerate-then-merge recursion with
-/// `BTreeSet` dedup — the pre-plan implementation, kept for differential
-/// tests against the planned path.
-pub fn all_matches_compiled_reference(
-    tree: &XmlTree,
-    pattern: &CompiledPattern,
-    labels: &InternedLabels,
-) -> Vec<Assignment> {
-    let mut out: BTreeSet<Assignment> = BTreeSet::new();
-    for node in tree.nodes() {
-        for m in matches_at_compiled(tree, node, pattern, labels) {
-            out.insert(m);
-        }
-    }
-    out.into_iter().collect()
-}
-
-/// All assignments under which `node` witnesses `pattern`.
-pub fn matches_at_compiled(
-    tree: &XmlTree,
-    node: NodeId,
-    pattern: &CompiledPattern,
-    labels: &InternedLabels,
-) -> Vec<Assignment> {
-    match pattern {
-        CompiledPattern::Node {
-            label,
-            bindings,
-            children,
-        } => {
-            let label_ok = match label {
-                CompiledLabelTest::Any => true,
-                CompiledLabelTest::Is(s) => labels.get(node) == Some(*s),
-                // Undeclared labels can only live on uninterned nodes.
-                CompiledLabelTest::Uninterned(e) => {
-                    labels.get(node).is_none() && tree.label(node) == e
-                }
-            };
-            if !label_ok {
-                return Vec::new();
-            }
-            let Some(base) = match_bindings(tree, node, bindings) else {
-                return Vec::new();
-            };
-            let mut partials = vec![base];
-            for child_pattern in children {
-                let mut next: BTreeSet<Assignment> = BTreeSet::new();
-                for partial in &partials {
-                    for &child in tree.children(node) {
-                        for m in matches_at_compiled(tree, child, child_pattern, labels) {
-                            if let Some(merged) = merge_assignments(partial, &m) {
-                                next.insert(merged);
-                            }
-                        }
-                    }
-                }
-                partials = next.into_iter().collect();
-                if partials.is_empty() {
-                    return Vec::new();
-                }
-            }
-            partials
-        }
-        CompiledPattern::Descendant(inner) => {
-            let mut out: BTreeSet<Assignment> = BTreeSet::new();
-            for d in tree.descendants(node) {
-                for m in matches_at_compiled(tree, d, inner, labels) {
-                    out.insert(m);
-                }
-            }
-            out.into_iter().collect()
-        }
-    }
 }
 
 // Compile-time audit: compiled patterns and interned label tables are shared
@@ -264,7 +182,7 @@ pub fn holds_in_matches(matches: &[Assignment], assignment: &Assignment) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::all_matches;
+    use crate::eval::all_matches_reference;
     use crate::parser::parse_pattern;
     use xdx_xmltree::{Dtd, TreeBuilder, Value};
 
@@ -299,7 +217,7 @@ mod tests {
         let p = parse_pattern(pattern_src).unwrap();
         let compiled = CompiledPattern::new(&p, d.compiled());
         let labels = InternedLabels::new(&t, d.compiled());
-        let mut reference = all_matches(&t, &p);
+        let mut reference = all_matches_reference(&t, &p);
         let mut fast = all_matches_compiled(&t, &compiled, &labels);
         reference.sort();
         fast.sort();
@@ -333,7 +251,7 @@ mod tests {
         assert!(compiled.mentions_undeclared_label());
         let labels = InternedLabels::new(&t, d.compiled());
         assert!(all_matches_compiled(&t, &compiled, &labels).is_empty());
-        assert!(all_matches(&t, &p).is_empty());
+        assert!(all_matches_reference(&t, &p).is_empty());
     }
 
     #[test]
@@ -349,7 +267,7 @@ mod tests {
         let compiled = CompiledPattern::new(&p, d.compiled());
         let labels = InternedLabels::new(&t, d.compiled());
         let mut fast = all_matches_compiled(&t, &compiled, &labels);
-        let mut reference = all_matches(&t, &p);
+        let mut reference = all_matches_reference(&t, &p);
         fast.sort();
         reference.sort();
         assert_eq!(fast, reference);
@@ -363,7 +281,7 @@ mod tests {
         let _d = dtd();
         let t = tree();
         let p = parse_pattern("book(@title=$x)[author(@name=$y)]").unwrap();
-        let matches = all_matches(&t, &p);
+        let matches = all_matches_reference(&t, &p);
         let mut sigma = Assignment::new();
         sigma.insert(Var::new("x"), Value::constant("CC"));
         sigma.insert(Var::new("y"), Value::constant("P"));

@@ -1,9 +1,9 @@
 //! Join-ordered pattern evaluation — the planned fast path.
 //!
-//! The recursive evaluators ([`crate::eval::all_matches_reference`] and
-//! [`crate::compiled::matches_at_compiled`]) are *enumerate-then-merge*: at
-//! every candidate node they re-enumerate every child for every sub-pattern
-//! and deduplicate assignment sets through `BTreeSet`s of whole `BTreeMap`s.
+//! The recursive reference evaluator ([`crate::eval::all_matches_reference`])
+//! is *enumerate-then-merge*: at every candidate node it re-enumerates every
+//! child for every sub-pattern and deduplicates assignment sets through
+//! `BTreeSet`s of whole `BTreeMap`s.
 //! This module replaces that with a twig-join-style worklist matcher:
 //!
 //! * a [`TreeIndex`] is built in **one pass** over the tree: per-symbol

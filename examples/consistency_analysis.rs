@@ -5,7 +5,9 @@
 //! avoidable, (c) the polynomial nested-relational fast path versus the
 //! general automata-based procedure, and (d) the 3SAT-to-consistency
 //! reduction used for the NP-hardness of restricted consistency
-//! (Proposition 4.4 flavour).
+//! (Proposition 4.4 flavour), and (e) which settings are *chase-free*: their
+//! per-document consistency check is source conformance alone, because the
+//! chase is provably the identity on every canonical pre-solution.
 //!
 //! Run with `cargo run --example consistency_analysis`.
 
@@ -15,6 +17,7 @@ use xml_data_exchange::core::consistency::{
 use xml_data_exchange::core::gadgets::consistency_np;
 use xml_data_exchange::core::gadgets::three_sat::CnfFormula;
 use xml_data_exchange::core::setting::{books_to_writers_setting, DataExchangeSetting};
+use xml_data_exchange::core::{classify_setting, CompiledSetting};
 use xml_data_exchange::{Dtd, Std};
 
 fn section_4_example() -> DataExchangeSetting {
@@ -95,5 +98,37 @@ fn main() {
             setting.source_dtd.element_types().len(),
         );
         assert_eq!(consistent, consistency_np::expected_consistent(&formula));
+    }
+
+    println!("\n== 5. Chase-free settings: is a per-document check just `conforms`? ==");
+    let writers_must_merge = {
+        let mut setting = books_to_writers_setting();
+        setting.target_dtd = Dtd::builder("bib")
+            .rule("bib", "writer")
+            .rule("writer", "work*")
+            .attributes("writer", ["@name"])
+            .attributes("work", ["@title", "@year"])
+            .build()
+            .unwrap();
+        setting
+    };
+    for (name, setting) in [
+        ("books → writers (Figure 2)", books_to_writers_setting()),
+        ("one writer under bib      ", writers_must_merge),
+    ] {
+        let compiled = CompiledSetting::new(&setting);
+        println!(
+            "   {name}: classify_setting = {}",
+            classify_setting(&setting)
+        );
+        println!(
+            "   {name}: chase_free       = {} ({})",
+            compiled.chase_free(),
+            if compiled.chase_free() {
+                "check = source conformance, no chase"
+            } else {
+                "check builds the canonical solution"
+            }
+        );
     }
 }

@@ -17,6 +17,11 @@
 //! * **end-to-end canonical solutions** over a pool of settings including
 //!   STD-forced labels outside content models (exercising the shared
 //!   forced-element repair contexts) and chase-forced merges;
+//! * **chase-free settings** (`CompiledSetting::chase_free`) — on the
+//!   pool's chase-free settings the reference chase leaves every stamped
+//!   pre-solution unchanged, and one fixture per premise of the flag
+//!   violates only that premise, keeps the chase, and agrees with the
+//!   reference pipeline;
 //! * deterministic single-fault cases for every error path:
 //!   `DisallowedAttribute`, `NoRepair`, `NoMaximumRepair`,
 //!   `AttributeClash`, `UnknownTargetElement` and budget exhaustion
@@ -39,7 +44,7 @@ use xml_data_exchange::core::solution::{
     canonical_presolution, canonical_presolution_reference, canonical_solution,
     canonical_solution_reference, chase_reference, chase_reference_with_budget, SolutionError,
 };
-use xml_data_exchange::core::CompiledSetting;
+use xml_data_exchange::core::{CompiledSetting, ExchangeScratch};
 use xml_data_exchange::xmltree::{NodeId, NullGen};
 use xml_data_exchange::{Dtd, XmlTree};
 
@@ -655,5 +660,209 @@ fn stamped_presolution_node_ids_are_dense() {
     for i in 0..pre.arena_len() {
         let node = NodeId::from_index(i);
         let _ = pre.label(node);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Chase-free settings: the compile-time premise under which the chase is the
+// identity on every canonical pre-solution (`CompiledSetting::chase_free`)
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(96)))]
+
+    /// On every chase-free setting of the pool, the frozen reference chase
+    /// leaves the stamped pre-solution unchanged and draws no null, and the
+    /// compiled solution (which skips the chase) is that pre-solution.
+    #[test]
+    fn reference_chase_is_the_identity_on_chase_free_presolutions(
+        seed in 0u64..u64::MAX,
+        budget in 1usize..24,
+    ) {
+        let mut rng = TestRng::new(seed);
+        let settings: Vec<DataExchangeSetting> = setting_pool()
+            .into_iter()
+            .filter(|s| CompiledSetting::new(s).chase_free())
+            .collect();
+        let setting = pick(&mut rng, &settings);
+        let source = random_source(setting, &mut rng, budget);
+
+        let mut nulls = NullGen::new();
+        let pre = canonical_presolution(setting, &source, &mut nulls).unwrap();
+        let nulls_before = nulls.count();
+        let mut chased = pre.clone();
+        chase_reference(&mut chased, setting, &mut nulls).unwrap();
+        prop_assert!(
+            chased.unordered_eq(&pre),
+            "the reference chase changed a chase-free pre-solution:\n{pre}\nvs\n{chased}"
+        );
+        prop_assert!(nulls.count() == nulls_before, "the reference chase drew a null");
+
+        let compiled = CompiledSetting::new(setting);
+        let solution = compiled.canonical_solution(&source).unwrap();
+        prop_assert!(solution.unordered_eq(&pre));
+        prop_assert!(compiled.check_instance_consistency_with(&source, &mut ExchangeScratch::new()));
+    }
+}
+
+#[test]
+fn benchmark_and_running_example_settings_are_chase_free() {
+    let clio = xdx_bench::clio_setting(4, 4);
+    assert!(CompiledSetting::new(&clio).chase_free());
+    assert!(CompiledSetting::new(&books_to_writers_setting()).chase_free());
+    // The pool holds both kinds, so neither property above is vacuous.
+    let verdicts: Vec<bool> = setting_pool()
+        .iter()
+        .map(|s| CompiledSetting::new(s).chase_free())
+        .collect();
+    assert_eq!(verdicts, [true, true, false, false]);
+
+    // The chase-skipping path leaves the chase counters untouched.
+    let compiled = CompiledSetting::new(&clio);
+    let source = xdx_bench::clio_source(4, 64, 3);
+    let mut scratch = ExchangeScratch::new();
+    let solution = compiled
+        .canonical_solution_with(&source, &mut scratch)
+        .unwrap();
+    assert_eq!(scratch.counters.chase_steps, 0);
+    let reference = canonical_solution_reference(&clio, &source).unwrap();
+    assert!(solution.unordered_eq(&reference));
+}
+
+/// The chase-free base fixture: `tgt → g*`, `g → h? k*`, every stamped node
+/// carries exactly its declared attributes. Each entry of
+/// [`premise_violations`] changes this in exactly one way.
+fn premise_fixture(target_dtd: Dtd, std: &str) -> DataExchangeSetting {
+    let source_dtd = Dtd::builder("src")
+        .rule("src", "item*")
+        .attributes("item", ["@v"])
+        .build()
+        .unwrap();
+    DataExchangeSetting::new(source_dtd, target_dtd, vec![Std::parse(std).unwrap()])
+}
+
+fn premise_target(root_rule: &str, g_rule: &str) -> Dtd {
+    Dtd::builder("tgt")
+        .rule("tgt", root_rule)
+        .rule("g", g_rule)
+        .rule("h", "eps")
+        .rule("k", "eps")
+        .attributes("g", ["@v", "@w"])
+        .attributes("h", ["@u"])
+        .build()
+        .unwrap()
+}
+
+const BASE_STD: &str = "tgt[g(@v=$x, @w=$z)[h(@u=$x)]] :- src[item(@v=$x)]";
+
+/// One fixture per premise of `chase_free`, each violating only that one.
+fn premise_violations() -> Vec<(&'static str, DataExchangeSetting)> {
+    // `restricted_to` is the one way to a DTD whose root declares
+    // attributes (the builder rejects them, the paper's `D_ℓ` does not).
+    let root_attribute = Dtd::builder("top")
+        .rule("top", "tgt")
+        .rule("tgt", "g*")
+        .rule("g", "h? k*")
+        .attributes("tgt", ["@r"])
+        .attributes("g", ["@v", "@w"])
+        .attributes("h", ["@u"])
+        .build()
+        .unwrap()
+        .restricted_to(&"tgt".into());
+    vec![
+        (
+            "root g+",
+            premise_fixture(premise_target("g+", "h? k*"), BASE_STD),
+        ),
+        (
+            "root g? stamped by an STD",
+            premise_fixture(premise_target("g?", "h? k*"), BASE_STD),
+        ),
+        (
+            "missing declared attribute",
+            premise_fixture(
+                premise_target("g*", "h? k*"),
+                "tgt[g(@v=$x)[h(@u=$x)]] :- src[item(@v=$x)]",
+            ),
+        ),
+        (
+            "disallowed attribute",
+            premise_fixture(
+                premise_target("g*", "h? k*"),
+                "tgt[g(@v=$x, @w=$z, @bogus=$x)[h(@u=$x)]] :- src[item(@v=$x)]",
+            ),
+        ),
+        (
+            "h? stamped twice in one template",
+            premise_fixture(
+                premise_target("g*", "h? k*"),
+                "tgt[g(@v=$x, @w=$z)[h(@u=$x), h(@u=$z)]] :- src[item(@v=$x)]",
+            ),
+        ),
+        (
+            "undeclared child label",
+            premise_fixture(
+                premise_target("g*", "h? k*"),
+                "tgt[g(@v=$x, @w=$z)[h(@u=$x), zz]] :- src[item(@v=$x)]",
+            ),
+        ),
+        ("root attribute", premise_fixture(root_attribute, BASE_STD)),
+        (
+            "(h|k)* rule",
+            premise_fixture(premise_target("g*", "(h|k)*"), BASE_STD),
+        ),
+        (
+            "wildcard STD",
+            premise_fixture(
+                premise_target("g*", "h? k*"),
+                "tgt[_(@v=$x, @w=$z)[h(@u=$x)]] :- src[item(@v=$x)]",
+            ),
+        ),
+        (
+            "not fully specified STD",
+            premise_fixture(
+                premise_target("g*", "h? k*"),
+                "tgt[//g(@v=$x, @w=$z)[h(@u=$x)]] :- src[item(@v=$x)]",
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn each_violated_premise_keeps_the_chase() {
+    let base = premise_fixture(premise_target("g*", "h? k*"), BASE_STD);
+    assert!(CompiledSetting::new(&base).chase_free());
+    for (name, setting) in premise_violations() {
+        let compiled = CompiledSetting::new(&setting);
+        assert!(!compiled.chase_free(), "{name}: the flag must be false");
+        let mut scratch = ExchangeScratch::new();
+        for seed in 0..24u64 {
+            let mut rng = TestRng::new(seed);
+            let mut source = random_source(&setting, &mut rng, (seed % 6) as usize);
+            if seed % 5 == 4 {
+                // A non-conforming source: `check` must say no on both paths.
+                source.add_child(source.root(), "junk");
+            }
+            let reference = canonical_solution_reference(&setting, &source);
+            let fast = compiled.canonical_solution_with(&source, &mut scratch);
+            match (&fast, &reference) {
+                (Ok(f), Ok(r)) => assert!(
+                    f.unordered_eq(r),
+                    "{name}: solutions diverged:\n{f}\nvs\n{r}"
+                ),
+                (Err(fe), Err(re)) => assert_eq!(
+                    std::mem::discriminant(fe),
+                    std::mem::discriminant(re),
+                    "{name}: error kinds diverged: {fe:?} vs {re:?}"
+                ),
+                _ => panic!("{name}: verdicts diverged: {fast:?} vs {reference:?}"),
+            }
+            let expected = setting.source_dtd.conforms(&source) && reference.is_ok();
+            assert_eq!(
+                compiled.check_instance_consistency_with(&source, &mut scratch),
+                expected,
+                "{name}: check diverged on seed {seed}"
+            );
+        }
     }
 }
