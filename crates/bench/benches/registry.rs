@@ -14,13 +14,13 @@
 //!   recompiles from the retained canonical text on demand, which prices
 //!   exactly what the LRU trades away under cost pressure.
 //!
-//! All rows go over a loopback Unix socket through the v3
-//! (`FEATURE_SETTINGS`) framing, so they include the wire cost a real
-//! tenant pays. `XDX_BENCH_FAST=1` shrinks sampling for the CI smoke step.
+//! All rows go over a loopback Unix socket, every request naming its
+//! setting id, so they include the wire cost a real tenant pays.
+//! `XDX_BENCH_FAST=1` shrinks sampling for the CI smoke step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
-use xdx_server::{Client, Server, ServerConfig, FEATURE_SETTINGS};
+use xdx_server::{Client, Server, ServerConfig};
 use xdx_xmltree::XmlTree;
 
 fn fast_mode() -> bool {
@@ -81,8 +81,6 @@ fn bench(c: &mut Criterion) {
         let control = server.control();
         scope.spawn(move || server.run());
         let mut client = Client::connect_unix(&sock).expect("connect bench client");
-        let accepted = client.negotiate(FEATURE_SETTINGS).expect("negotiate v3");
-        assert_ne!(accepted & FEATURE_SETTINGS, 0, "server must accept v3");
 
         // -- put_cold: a never-seen text every iteration --------------------
         let mut salt = 1u64;

@@ -9,9 +9,9 @@
 //! batch 1 the framing/parse cost dominates; by batch 64 the server should
 //! sit within a few percent of the direct call.
 //!
-//! The served rows run once per wire codec — `text` (protocol v1) and
-//! `binary` (v2 `Hello`-negotiated preorder frames + chunked responses) —
-//! so the codec's share of the wire overhead is directly visible.
+//! The served rows run once per wire codec — `text` (tree text) and
+//! `binary` (`Hello`-negotiated preorder frames) — so the codec's share of
+//! the wire overhead is directly visible.
 //! `XDX_WIRE_CODEC=text|binary` restricts the sweep to one codec. Both
 //! codec rows use the no-decode client path ([`Client::canonical_solution_docs`]),
 //! so they measure the wire, not the client's parser.
@@ -91,7 +91,7 @@ fn bench(c: &mut Criterion) {
 
         for codec in codecs() {
             // One fresh connection per codec; the binary one negotiates the
-            // v2 fast path (binary documents + chunked responses).
+            // binary document codec.
             let mut client = Client::connect_unix(&sock).expect("connect bench client");
             if codec == "binary" {
                 client.use_binary().expect("negotiate binary codec");

@@ -216,7 +216,8 @@ impl HistogramSnapshot {
         let rank = rank.min(self.count);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+            // Saturating: bucket totals decoded off the wire are untrusted.
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 return bucket_upper(i).clamp(self.min, self.max);
             }
@@ -257,7 +258,8 @@ impl HistogramSnapshot {
 
     /// Rebuild a snapshot from the sparse form. Out-of-range bucket
     /// indices are ignored (forward compatibility: a newer peer could
-    /// conceivably grow the bucket count).
+    /// conceivably grow the bucket count), and a repeated index adds up
+    /// saturating, so hostile input cannot overflow a bucket.
     pub fn from_sparse(
         count: u64,
         sum: u64,
@@ -268,7 +270,7 @@ impl HistogramSnapshot {
         let mut buckets = [0u64; BUCKETS];
         for (i, c) in sparse {
             if let Some(slot) = buckets.get_mut(i as usize) {
-                *slot += c;
+                *slot = slot.saturating_add(c);
             }
         }
         HistogramSnapshot {

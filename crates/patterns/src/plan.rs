@@ -19,7 +19,7 @@
 //!   count, and child/descendant edges are joined in ascending order of
 //!   their **measured** cardinality (the bottom-up order makes exact
 //!   selectivities free — no estimation error);
-//! * partial assignments are interned in an [`AssignStore`]: every distinct
+//! * partial assignments are interned in an `AssignStore`: every distinct
 //!   assignment gets a dense `u32` id from an `FxHash`-style map, so
 //!   deduplication during merges is a hash-set of `u32`s and repeated merges
 //!   of the same pair hit a memo instead of re-walking two `BTreeMap`s.

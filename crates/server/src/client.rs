@@ -6,13 +6,14 @@
 //! expose the raw pipelined form (multiple requests in flight, responses
 //! correlated by id) for backpressure tests and throughput measurements.
 //!
-//! A fresh connection speaks protocol v1 (text documents, whole-frame
-//! responses). [`Client::negotiate`] sends a `Hello` to switch on v2
-//! features — [`Client::use_binary`] is the common shorthand for "binary
-//! document codec + chunked responses". Chunked (`STATUS_OK_PARTIAL`)
-//! response frames are reassembled transparently inside [`Client::recv`],
-//! so callers always see whole logical responses; chunks of *different*
-//! ids may interleave on the wire when requests are pipelined.
+//! A fresh connection sends and receives documents as tree text;
+//! [`Client::negotiate`] sends a `Hello` to switch the document codec, and
+//! [`Client::use_binary`] is the shorthand for the binary codec. Every
+//! request carries the setting id chosen with [`Client::set_setting`]
+//! (default 0). Chunked (`STATUS_OK_PARTIAL`) response frames are
+//! reassembled transparently inside [`Client::recv`], so callers always see
+//! whole logical responses; chunks of *different* ids may interleave on the
+//! wire when requests are pipelined.
 
 use crate::transport::Duplex;
 use crate::wire::{
@@ -40,10 +41,9 @@ const MAX_RESPONSE_BYTES: usize = 256 * 1024 * 1024;
 /// `None`) via [`Client::set_timeout`].
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A typed `Stats` response: flat counters, plus histogram rows when the
-/// connection negotiated [`wire::FEATURE_STATS_V2`] (empty against a v4
-/// server or without negotiation). Both lists are sorted ascending by
-/// name. The [`std::fmt::Display`] impl renders the operator-facing form
+/// A typed `Stats` response: flat counters plus histogram rows (none when
+/// the server has recorded nothing yet). Both lists are sorted ascending
+/// by name. The [`std::fmt::Display`] impl renders the operator-facing form
 /// `--client-smoke` prints.
 #[derive(Debug, Clone, Default)]
 pub struct StatsSnapshot {
@@ -219,9 +219,6 @@ pub struct Client {
     next_id: u64,
     /// Negotiated document codec (see [`Client::negotiate`]).
     codec: Codec,
-    /// Did the server accept [`wire::FEATURE_SETTINGS`]? Only then do
-    /// request frames carry a setting id.
-    settings: bool,
     /// The setting id stamped on every request ([`Client::set_setting`]).
     setting_id: u64,
     /// Request encode buffer, reused across pipelined sends: 4 reserved
@@ -258,7 +255,6 @@ impl Client {
             transport,
             next_id: 1,
             codec: Codec::Text,
-            settings: false,
             setting_id: 0,
             ebuf: Vec::new(),
             partials: HashMap::new(),
@@ -324,10 +320,9 @@ impl Client {
         } else {
             Codec::Text
         };
-        self.settings = accepted & wire::FEATURE_SETTINGS != 0;
     }
 
-    /// Negotiate v2 features: sends `Hello` with `features`, returns the
+    /// Negotiate features: sends `Hello` with `features`, returns the
     /// subset the server accepted, and switches this connection's document
     /// codec accordingly. Requests already answered are unaffected. The
     /// feature set is remembered and re-negotiated automatically when a
@@ -361,7 +356,6 @@ impl Client {
         };
         self.partials.clear();
         self.codec = Codec::Text;
-        self.settings = false;
         self.transport.set_read_timeout(self.timeout)?;
         self.transport.set_write_timeout(self.timeout)?;
         if let Some(features) = self.requested_features {
@@ -375,8 +369,8 @@ impl Client {
         Ok(())
     }
 
-    /// Negotiate the full v2 fast path (binary documents + chunked
-    /// responses); errors if the server does not accept the binary codec.
+    /// Negotiate the binary document codec; errors if the server does not
+    /// accept it.
     pub fn use_binary(&mut self) -> Result<(), ClientError> {
         let accepted = self.negotiate(wire::SUPPORTED_FEATURES)?;
         if accepted & wire::FEATURE_BINARY_DOCS == 0 {
@@ -393,8 +387,8 @@ impl Client {
     }
 
     /// Wire frames the most recent logical response arrived in (1 when it
-    /// was not chunked). Tests use this to assert streaming actually split
-    /// a large response.
+    /// fit in one segment). Tests use this to assert streaming actually
+    /// split a large response.
     pub fn last_response_chunk_count(&self) -> usize {
         self.last_chunks
     }
@@ -407,17 +401,13 @@ impl Client {
         self.next_id += 1;
         self.ebuf.clear();
         self.ebuf.extend_from_slice(&[0u8; 4]); // framing, patched below
-        wire::encode_request_into(
-            &RequestFrame {
-                id,
-                setting_id: self.setting_id,
-                body,
-            },
-            self.settings,
-            &mut self.ebuf,
-        );
-        let len = u32::try_from(self.ebuf.len() - 4).expect("request exceeds u32::MAX bytes");
-        self.ebuf[0..4].copy_from_slice(&len.to_be_bytes());
+        let request = RequestFrame {
+            id,
+            setting_id: self.setting_id,
+            body,
+        };
+        wire::encode_request_into(&request, &mut self.ebuf);
+        wire::patch_frame_len(&mut self.ebuf);
         self.transport.write_all(&self.ebuf)?;
         Ok(id)
     }
@@ -604,10 +594,9 @@ impl Client {
         }
     }
 
-    /// Fetch the server's operational counters (v4) — and, when the
-    /// connection negotiated [`wire::FEATURE_STATS_V2`], its histogram
-    /// rows — as a typed [`StatsSnapshot`]. Unknown names must be ignored —
-    /// servers grow counters.
+    /// Fetch the server's operational counters and histogram rows as a
+    /// typed [`StatsSnapshot`]. Unknown names must be ignored — servers
+    /// grow counters.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
         match self.round_trip(RequestBody::Stats)? {
             ResponseBody::StatsOk {
@@ -834,9 +823,8 @@ impl Client {
         }
     }
 
-    /// Address every subsequent request to setting `id` (v3). Takes
-    /// effect on the wire only after [`wire::FEATURE_SETTINGS`] was
-    /// negotiated; before that, requests implicitly address setting 0.
+    /// Address every subsequent request to setting `id`; `0` (the default)
+    /// is the setting the server was started with.
     pub fn set_setting(&mut self, id: u64) {
         self.setting_id = id;
     }

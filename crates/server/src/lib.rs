@@ -11,14 +11,14 @@
 //! * **CertainAnswers** / **CertainAnswersBoolean** — certain answers of a
 //!   conjunctive tree query (Section 7 semantics) per document;
 //!
-//! over both TCP and Unix-domain sockets, speaking a length-prefixed binary
-//! protocol (see `PROTOCOL.md` and [`wire`]). Protocol v2 adds an opt-in
-//! zero-copy serving path, negotiated per connection with a `Hello` frame:
+//! over both TCP and Unix-domain sockets, speaking one length-prefixed
+//! binary framing (see `PROTOCOL.md` and [`wire`]): every request names the
+//! setting it addresses, and large responses stream as bounded
+//! `STATUS_OK_PARTIAL` chunks serialized by the workers directly into the
+//! connection's write queue. The one negotiated feature is the document
+//! codec: after a `Hello` accepting [`wire::FEATURE_BINARY_DOCS`],
 //! documents travel as [`xdx_xmltree::binary`] preorder frames instead of
-//! text ([`wire::FEATURE_BINARY_DOCS`]), and large responses stream as
-//! bounded `STATUS_OK_PARTIAL` chunks ([`wire::FEATURE_CHUNKED_RESPONSES`])
-//! serialized by the workers directly into the connection's write queue.
-//! Connections that never send `Hello` speak v1 unchanged.
+//! tree text.
 //!
 //! When [`server::ServerConfig::store_dir`] is set the server also mounts a
 //! resident [`xdx_store::DocStore`]: documents persist across restarts
@@ -62,6 +62,5 @@ pub use client::{Client, ClientError, RetryPolicy, StatsSnapshot, DEFAULT_TIMEOU
 pub use server::{ConfigError, Server, ServerConfig, ServerControl, StatsHandle};
 pub use wire::{
     Codec, DocResult, ErrorCode, OpCode, RequestBody, RequestFrame, ResponseBody, ResponseFrame,
-    SettingEntry, StatsHistogram, WireDoc, WireError, FEATURE_BINARY_DOCS,
-    FEATURE_CHUNKED_RESPONSES, FEATURE_SETTINGS, FEATURE_STATS_V2, SUPPORTED_FEATURES,
+    SettingEntry, StatsHistogram, WireDoc, WireError, FEATURE_BINARY_DOCS, SUPPORTED_FEATURES,
 };

@@ -19,8 +19,8 @@
 //!
 //! Binding id 0 is the setting the server was started with. It is pinned:
 //! its artifact is never evicted and `put`/`evict` of id 0 are rejected,
-//! so v1/v2 connections (which always address setting 0) can never lose
-//! their engine or have its semantics swapped under them.
+//! so requests addressing setting 0 can never lose their engine or have
+//! its semantics swapped under them.
 //!
 //! Workers hold the registry behind one mutex, but **never compile under
 //! it**: a resolve miss clones the text out, compiles unlocked, and

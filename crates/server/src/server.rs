@@ -11,7 +11,7 @@
 //!                       jobs │ (bounded queue)       │ completions + wake pipe
 //!                    ┌───────▼───────────────────────┴─────────────┐
 //!                    │ worker pool: N threads ×                    │
-//!                    │   (&BatchEngine's CompiledSetting,          │
+//!                    │   (the addressed setting's CompiledSetting, │
 //!                    │    one ExchangeScratch each)                │
 //!                    └─────────────────────────────────────────────┘
 //! ```
@@ -19,15 +19,16 @@
 //! * The **event loop** owns every socket. It never parses documents or
 //!   chases anything — it only moves bytes, frames, and verdicts.
 //! * **Workers** decode documents/queries (the expensive parsing stays off
-//!   the loop), run the exchange pipeline on the shared [`CompiledSetting`]
-//!   (per-setting caches warm up once for all connections), and serialize
-//!   responses *directly into the connection's write queue* in bounded
-//!   segments ([`ResponseWriter`]): each sealed segment is handed to the
-//!   loop as a ready-to-send frame, moved (never re-copied) into a
-//!   per-connection segment queue and flushed with `writev`. Connections
-//!   that negotiated [`wire::FEATURE_CHUNKED_RESPONSES`] receive large
-//!   responses as `STATUS_OK_PARTIAL` chunks of at most
-//!   [`ServerConfig::chunk_bytes`] body bytes each, so a huge solution
+//!   the loop), run the exchange pipeline on the addressed setting's shared
+//!   [`xdx_core::CompiledSetting`] (per-setting caches warm up once for all
+//!   connections), and serialize responses *directly into the
+//!   connection's write queue* in bounded segments (the private
+//!   `ResponseWriter`, a [`ByteSink`] the `wire` layout functions write
+//!   into): each sealed segment is handed to the loop as a ready-to-send
+//!   frame, moved (never re-copied) into a per-connection segment queue and
+//!   flushed with `writev`. An OK response longer than
+//!   [`ServerConfig::chunk_bytes`] body bytes arrives as
+//!   `STATUS_OK_PARTIAL` chunks of at most that size, so a huge solution
 //!   neither pins its full size in worker memory nor head-of-line-blocks
 //!   other connections' flushes.
 //! * The **wake pipe** (a non-blocking Unix socketpair) lets workers and
@@ -58,8 +59,8 @@ use crate::registry::Registry;
 use crate::sys::{Epoll, Event, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::transport::Duplex;
 use crate::wire::{
-    self, Codec, DecodeError, OpCode, RequestBody, RequestFrame, ResponseBody, ResponseFrame,
-    WireDoc, WireError,
+    self, Codec, DecodeError, DocResult, OpCode, RequestBody, RequestFrame, ResponseBody,
+    ResponseFrame, WireDoc, WireError,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -81,7 +82,7 @@ use xdx_patterns::parser::parse_query;
 use xdx_patterns::plan::QueryPlan;
 use xdx_store::{decode_edits_exact, DocKey, DocStore, StoreConfig, StoreError};
 use xdx_xmltree::binary::ByteSink;
-use xdx_xmltree::{tree_to_text, XmlTree};
+use xdx_xmltree::XmlTree;
 
 /// What the per-document result cache holds: the *semantic* result of each
 /// op, so a hit streams through exactly the serialization path a fresh
@@ -130,12 +131,12 @@ pub struct ServerConfig {
     /// responses can legitimately exceed the request-frame cap. Crossing
     /// the cap closes the connection: the peer has stopped cooperating.
     pub max_buffered_response_bytes: usize,
-    /// Segment size for chunked responses (v2, per-connection negotiated):
-    /// a worker seals and hands off a response segment every time this many
-    /// body bytes accumulate, so its peak serialization buffer — and the
-    /// granularity at which other responses can interleave on the socket —
-    /// is this, not the full response size. Ignored for connections that
-    /// did not negotiate [`wire::FEATURE_CHUNKED_RESPONSES`].
+    /// Segment size of OK responses: a worker seals and hands off a
+    /// `STATUS_OK_PARTIAL` segment every time this many body bytes
+    /// accumulate, so its peak serialization buffer — and the granularity
+    /// at which other responses can interleave on the socket — is this,
+    /// not the full response size. A response of at most this many body
+    /// bytes is one `STATUS_OK` frame.
     pub chunk_bytes: usize,
     /// Directory of the resident document store (snapshot + WAL). `None`
     /// disables the store: every store op answers
@@ -164,7 +165,7 @@ pub struct ServerConfig {
     /// most this many unanswered requests may address one setting id, so a
     /// flood against one tenant cannot starve the rest. The default equals
     /// [`ServerConfig::max_inflight_total`], which makes the check
-    /// unobservable for v1/v2 traffic (it all addresses setting 0).
+    /// unobservable while all traffic addresses one setting.
     pub max_inflight_per_setting: usize,
     /// Close a connection with no unanswered requests, no pending output
     /// and no partial frame after this long without activity, so abandoned
@@ -181,7 +182,7 @@ pub struct ServerConfig {
     /// Per-request phase tracing: when `true` (the default) every
     /// worker-path request carries an [`xdx_obs::Trace`] from frame decode
     /// to final flush, feeding the per-`(op, setting)` phase histograms of
-    /// the Stats-v2 export and the slow-request log. Off, requests carry
+    /// the `Stats` export and the slow-request log. Off, requests carry
     /// no trace and only the plain counters remain (bench `E18` measures
     /// the difference).
     pub instrumentation: bool,
@@ -624,7 +625,7 @@ const GLOBAL_HISTOGRAMS: [(&str, Unit); 2] = [
 ];
 
 /// Server-side latency/work histograms, shared by workers (record), the
-/// event loop (trace finalization) and exporters (Stats v2, Prometheus).
+/// event loop (trace finalization) and exporters (`Stats`, Prometheus).
 struct ServerMetrics {
     /// Static-name histograms ([`GLOBAL_HISTOGRAMS`]).
     global: MetricRegistry,
@@ -692,7 +693,7 @@ fn histogram_row(name: String, unit: Unit, snap: &HistogramSnapshot) -> wire::St
     }
 }
 
-/// Snapshot every histogram for a Stats-v2 response (or the Prometheus
+/// Snapshot every histogram for a `Stats` response (or the Prometheus
 /// rendering): the global engine rows, every non-empty per-`(op, setting)`
 /// phase row, and — when a store is mounted — its fsync/checkpoint
 /// latencies. Rows ascend by name, like the counters.
@@ -748,20 +749,14 @@ fn collect_histograms(
 }
 
 /// One unit of work: a decoded request owned by a connection generation.
-/// Carries a snapshot of the connection's negotiated codec and chunk limit
-/// at dispatch time, so a mid-pipeline `Hello` cannot change the shape of
-/// responses already in flight.
+/// Carries a snapshot of the connection's negotiated codec at dispatch
+/// time, so a mid-pipeline `Hello` cannot change the shape of responses
+/// already in flight.
 struct Job {
     slot: usize,
     generation: u64,
     frame: RequestFrame,
     codec: Codec,
-    /// Maximum response-body bytes per segment; `usize::MAX` disables
-    /// chunking (the whole response is one `STATUS_OK` frame).
-    chunk_bytes: usize,
-    /// Did the connection negotiate [`wire::FEATURE_STATS_V2`] (snapshot
-    /// at dispatch, like `codec`)? Shapes `Stats` responses only.
-    stats_v2: bool,
     /// The request's phase trace (instrumentation on), running since frame
     /// decode; rides to the worker and back so queue/handoff latencies
     /// stay inside measured phases.
@@ -769,10 +764,9 @@ struct Job {
 }
 
 /// One finished response *segment*, already framed (length prefix
-/// included). An unchunked response is a single segment with `last =
-/// true`; a chunked response is any number of `STATUS_OK_PARTIAL` segments
-/// followed by the final `STATUS_OK` one. Only the last segment releases
-/// the in-flight budget.
+/// included). A response is any number of `STATUS_OK_PARTIAL` segments
+/// followed by its final segment (`last = true`). Only the last segment
+/// releases the in-flight budget.
 struct Done {
     slot: usize,
     generation: u64,
@@ -820,14 +814,8 @@ struct Conn {
     wfront: usize,
     wq_bytes: usize,
     inflight: usize,
-    /// Negotiated document codec (v2 `Hello`); text until negotiated.
+    /// Negotiated document codec (`Hello`); text until negotiated.
     codec: Codec,
-    /// Did the peer negotiate chunked responses?
-    chunked: bool,
-    /// Did the peer negotiate the v3 settings frame layout?
-    settings: bool,
-    /// Did the peer negotiate Stats-v2 histogram rows?
-    stats_v2: bool,
     /// Poisoned: flush remaining output, then close. No more reads parsed.
     closing: bool,
     /// Is `EPOLLOUT` currently part of the registration?
@@ -990,10 +978,8 @@ impl Server {
         } else {
             config.workers
         };
-        // The startup setting becomes the registry's pinned binding 0 —
-        // every v1/v2 request (and any v3 request that does not name a
-        // setting) runs against it, so pre-registry deployments behave
-        // identically.
+        // The startup setting becomes the registry's pinned binding 0: every
+        // request with setting id 0 runs against it.
         let engine = BatchEngine::new_owned(Arc::new(setting.clone())).parallelism(workers);
         let registry = Arc::new(Registry::new(
             engine,
@@ -1066,7 +1052,7 @@ impl Server {
             // The epoll instance is created *before* any worker spawns, so
             // an early `?` cannot leave workers waiting forever.
             let epoll = Epoll::new()?;
-            let wal_checkpoint_bytes = config.wal_checkpoint_bytes;
+            let config = &config;
             for _ in 0..config.workers {
                 let shared = Arc::clone(&shared);
                 let control = Arc::clone(&control);
@@ -1076,14 +1062,14 @@ impl Server {
                         store.as_deref(),
                         stats,
                         metrics,
-                        wal_checkpoint_bytes,
+                        config,
                         &shared,
                         &control,
                     )
                 });
             }
             let mut event_loop = EventLoop {
-                config: &config,
+                config,
                 tcp,
                 unix,
                 wake_rx,
@@ -1128,7 +1114,7 @@ fn worker_loop(
     store: Option<&ServerStore>,
     stats: &ServerStats,
     metrics: &ServerMetrics,
-    wal_checkpoint_bytes: u64,
+    config: &ServerConfig,
     shared: &Shared,
     control: &ServerControl,
 ) {
@@ -1149,7 +1135,7 @@ fn worker_loop(
         // Taking the writer stamps the queue phase: everything between
         // frame decode and this pop — enqueue, wake, contention — was
         // queue wait.
-        let mut writer = ResponseWriter::new(shared, control, &mut job);
+        let mut writer = ResponseWriter::new(shared, control, config.chunk_bytes, &mut job);
         let setting_id = job.frame.setting_id;
         match job.frame.body {
             // Registry ops run here so compilation (potentially long)
@@ -1161,17 +1147,10 @@ fn worker_loop(
             }
             // `Stats` aggregates server-wide counters — it addresses no
             // setting, so it never resolves (or compiles) an engine.
-            RequestBody::Stats => {
-                let histograms = if job.stats_v2 {
-                    collect_histograms(metrics, store)
-                } else {
-                    Vec::new()
-                };
-                writer.whole(ResponseBody::StatsOk {
-                    counters: collect_stats(stats, registry, store),
-                    histograms,
-                });
-            }
+            RequestBody::Stats => writer.whole(ResponseBody::StatsOk {
+                counters: collect_stats(stats, registry, store),
+                histograms: collect_histograms(metrics, store),
+            }),
             body => {
                 // Resolve the addressed setting's engine: an LRU/cache
                 // hit is an `Arc` clone; a cold binding recompiles from
@@ -1191,7 +1170,7 @@ fn worker_loop(
                     &engine,
                     store,
                     stats,
-                    wal_checkpoint_bytes,
+                    config.wal_checkpoint_bytes,
                     &mut scratch,
                     setting_id,
                     body,
@@ -1280,18 +1259,14 @@ const SEG_HEADER: usize = 4 + 1 + 8;
 /// Serializes one response *directly into the connection's write queue*,
 /// in bounded segments, from the worker thread.
 ///
-/// The writer appends body bytes to the current segment; when the
-/// negotiated chunk limit fills, the segment is sealed as
-/// [`wire::STATUS_OK_PARTIAL`] and handed to the event loop immediately
-/// (a [`Done`] push + wake), so a huge solution streams out while the
-/// worker is still serializing its tail — peak buffering per response is
-/// one chunk, not the whole response, and the loop can interleave other
-/// connections' flushes between chunks. [`ResponseWriter::finish`] seals
-/// the final [`wire::STATUS_OK`] segment.
-///
-/// For an unchunked connection (`chunk_bytes == usize::MAX`) the single
-/// final segment is byte-for-byte `wire::frame(wire::encode_response(..))`
-/// — v1 clients cannot tell the difference.
+/// The writer is a [`ByteSink`]: the `wire` layout functions append body
+/// bytes to the current segment, and when `chunk_bytes` of body fill, the
+/// segment is sealed as [`wire::STATUS_OK_PARTIAL`] and handed to the
+/// event loop immediately (a [`Done`] push + wake), so a huge solution
+/// streams out while the worker is still serializing its tail — peak
+/// buffering per response is one chunk, not the whole response, and the
+/// loop can interleave other connections' flushes between chunks.
+/// [`ResponseWriter::finish`] seals the final segment.
 struct ResponseWriter<'w> {
     shared: &'w Shared,
     control: &'w ServerControl,
@@ -1300,6 +1275,9 @@ struct ResponseWriter<'w> {
     id: u64,
     setting_id: u64,
     chunk_bytes: usize,
+    /// Status of the final segment: [`wire::STATUS_OK`] unless
+    /// [`ResponseWriter::whole`] sent a request-level error.
+    status: u8,
     seg: Vec<u8>,
     /// The request's phase trace, carried from the event loop through this
     /// worker and handed back (on the final segment's [`Done`]) so the event
@@ -1308,7 +1286,12 @@ struct ResponseWriter<'w> {
 }
 
 impl<'w> ResponseWriter<'w> {
-    fn new(shared: &'w Shared, control: &'w ServerControl, job: &mut Job) -> ResponseWriter<'w> {
+    fn new(
+        shared: &'w Shared,
+        control: &'w ServerControl,
+        chunk_bytes: usize,
+        job: &mut Job,
+    ) -> ResponseWriter<'w> {
         let mut writer = ResponseWriter {
             shared,
             control,
@@ -1316,7 +1299,8 @@ impl<'w> ResponseWriter<'w> {
             generation: job.generation,
             id: job.frame.id,
             setting_id: job.frame.setting_id,
-            chunk_bytes: job.chunk_bytes.max(1),
+            chunk_bytes: chunk_bytes.max(1),
+            status: wire::STATUS_OK,
             seg: Vec::new(),
             trace: job.trace.take(),
         };
@@ -1336,11 +1320,9 @@ impl<'w> ResponseWriter<'w> {
     }
 
     fn start_segment(&mut self) {
-        let cap = SEG_HEADER + self.chunk_bytes.min(64 * 1024);
-        self.seg = Vec::with_capacity(cap);
+        self.seg = Vec::with_capacity(SEG_HEADER + self.chunk_bytes.min(64 * 1024));
         self.seg.extend_from_slice(&[0u8; 4]); // length, patched on seal
-        self.seg.push(wire::STATUS_OK); // status, patched on seal
-        self.seg.extend_from_slice(&self.id.to_be_bytes());
+        wire::put_response_header(&mut self.seg, wire::STATUS_OK, self.id); // status, patched on seal
     }
 
     /// Body bytes already in the open segment.
@@ -1349,13 +1331,13 @@ impl<'w> ResponseWriter<'w> {
     }
 
     /// Seal the open segment (patch length + status) and hand it to the
-    /// event loop. `last` decides `STATUS_OK` vs `STATUS_OK_PARTIAL` and
-    /// whether the completion releases the in-flight budget.
+    /// event loop. `last` decides between the final status and
+    /// `STATUS_OK_PARTIAL`, and whether the completion releases the
+    /// in-flight budget.
     fn seal(&mut self, last: bool) {
-        let payload_len = u32::try_from(self.seg.len() - 4).expect("segment exceeds u32::MAX");
-        self.seg[0..4].copy_from_slice(&payload_len.to_be_bytes());
+        wire::patch_frame_len(&mut self.seg);
         self.seg[4] = if last {
-            wire::STATUS_OK
+            self.status
         } else {
             wire::STATUS_OK_PARTIAL
         };
@@ -1387,8 +1369,31 @@ impl<'w> ResponseWriter<'w> {
         }
     }
 
+    /// Seal the final segment; the logical response is complete.
+    fn finish(mut self) {
+        self.seal(true);
+    }
+
+    /// Send a response built as a whole [`ResponseBody`], through the same
+    /// layout functions as the streamed ones. An OK body is cut into
+    /// segments like any other; a request-level error (always small) is
+    /// written past the chunk limit, since `STATUS_OK_PARTIAL` segments
+    /// only ever carry OK bodies.
+    fn whole(mut self, body: ResponseBody) {
+        debug_assert_eq!(self.body_len(), 0, "whole() after body bytes were streamed");
+        self.status = wire::response_status(&body);
+        if self.status == wire::STATUS_OK {
+            wire::put_response_body(&mut self, &body);
+        } else {
+            wire::put_response_body(&mut self.seg, &body);
+        }
+        self.finish();
+    }
+}
+
+impl ByteSink for ResponseWriter<'_> {
     /// Append body bytes, cutting segments at the chunk limit.
-    fn put_bytes(&mut self, mut bytes: &[u8]) {
+    fn put(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
             let room = self.chunk_bytes - self.body_len();
             if room == 0 {
@@ -1399,69 +1404,6 @@ impl<'w> ResponseWriter<'w> {
             self.seg.extend_from_slice(&bytes[..n]);
             bytes = &bytes[n..];
         }
-    }
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_bytes(&[v]);
-    }
-
-    fn put_u16(&mut self, v: u16) {
-        self.put_bytes(&v.to_be_bytes());
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.put_bytes(&v.to_be_bytes());
-    }
-
-    fn put_string(&mut self, s: &str) {
-        self.put_u32(u32::try_from(s.len()).expect("string exceeds u32::MAX bytes"));
-        self.put_bytes(s.as_bytes());
-    }
-
-    fn put_wire_error(&mut self, e: &WireError) {
-        self.put_u16(e.code as u16);
-        self.put_string(&e.message);
-    }
-
-    /// `[status][id][op]` — the prefix of every streamed OK response.
-    fn put_ok_header(&mut self, op: OpCode, doc_count: usize) {
-        self.put_u8(op as u8);
-        self.put_u16(u16::try_from(doc_count).expect("doc count exceeds u16"));
-    }
-
-    /// Seal the final segment; the logical response is complete.
-    fn finish(mut self) {
-        self.seal(true);
-    }
-
-    /// Replace the (still body-less) response with one whole pre-encoded
-    /// frame — the path for request-level errors, which are always small
-    /// and never chunked.
-    fn whole(mut self, body: ResponseBody) {
-        debug_assert_eq!(self.body_len(), 0, "whole() after body bytes were streamed");
-        self.seg = wire::frame(wire::encode_response(&ResponseFrame { id: self.id, body }));
-        self.step(PHASE_ENCODE);
-        let bytes = std::mem::take(&mut self.seg);
-        let trace = self.trace.take();
-        self.shared
-            .done
-            .lock()
-            .expect("completion queue poisoned")
-            .push(Done {
-                slot: self.slot,
-                generation: self.generation,
-                setting_id: self.setting_id,
-                bytes,
-                last: true,
-                trace,
-            });
-        self.control.nudge();
-    }
-}
-
-impl ByteSink for ResponseWriter<'_> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.put_bytes(bytes);
     }
 }
 
@@ -1477,70 +1419,9 @@ fn parse_docs(docs: &[WireDoc]) -> Result<Vec<XmlTree>, WireError> {
         .collect()
 }
 
-/// Stream one per-document solution result into the response body: the
-/// ok/err tag, then the document under the connection's codec. Under
-/// [`Codec::Binary`] the two-pass encoder knows the exact length before a
-/// single byte is written, so the document streams straight into the
-/// segment queue un-buffered.
-fn put_solution(w: &mut ResponseWriter<'_>, codec: Codec, result: Result<XmlTree, SolutionError>) {
-    match result {
-        Ok(solution) => {
-            w.put_u8(0);
-            match codec {
-                Codec::Text => {
-                    let text = tree_to_text(&solution);
-                    w.put_string(&text);
-                }
-                Codec::Binary => {
-                    let enc = xdx_xmltree::binary::Encoder::new(&solution);
-                    let len =
-                        u32::try_from(enc.encoded_len()).expect("document exceeds u32::MAX bytes");
-                    w.put_u32(len);
-                    enc.write_to(w);
-                }
-            }
-        }
-        Err(e) => {
-            w.put_u8(1);
-            w.put_wire_error(&WireError::of_solution_error(&e));
-        }
-    }
-}
-
-/// Stream one per-document certain-answers result (tuples already in the
-/// deterministic set order). Shared by the ship-the-document and stored-doc
-/// paths so both produce identical bytes.
-fn put_answers(w: &mut ResponseWriter<'_>, result: Result<Vec<Vec<String>>, SolutionError>) {
-    match result {
-        Ok(tuples) => {
-            w.put_u8(0);
-            w.put_u32(u32::try_from(tuples.len()).expect("tuple count exceeds u32"));
-            for tuple in &tuples {
-                w.put_u16(u16::try_from(tuple.len()).expect("arity exceeds u16"));
-                for v in tuple {
-                    w.put_string(v);
-                }
-            }
-        }
-        Err(e) => {
-            w.put_u8(1);
-            w.put_wire_error(&WireError::of_solution_error(&e));
-        }
-    }
-}
-
-/// Stream one per-document Boolean certain-answer result.
-fn put_boolean(w: &mut ResponseWriter<'_>, result: Result<bool, SolutionError>) {
-    match result {
-        Ok(b) => {
-            w.put_u8(0);
-            w.put_u8(b as u8);
-        }
-        Err(e) => {
-            w.put_u8(1);
-            w.put_wire_error(&WireError::of_solution_error(&e));
-        }
-    }
+/// A per-document engine result in its wire form.
+fn doc_result<T>(result: Result<T, SolutionError>) -> DocResult<T> {
+    result.map_err(|e| WireError::of_solution_error(&e))
 }
 
 /// A store op arrived but the server mounts no store.
@@ -1618,20 +1499,14 @@ fn respond(
 ) {
     let compiled = engine.compiled();
     match body {
-        // `Ping` and `Hello` are answered inline by the event loop; a job
-        // carrying one would be a dispatch bug, but answer it anyway.
-        RequestBody::Ping => w.whole(ResponseBody::Pong),
-        RequestBody::Hello { features } => w.whole(ResponseBody::HelloOk {
-            features: features & wire::SUPPORTED_FEATURES,
-        }),
         RequestBody::CheckConsistency { docs } => match parse_docs(&docs) {
             Err(e) => w.whole(ResponseBody::Error(e)),
             Ok(trees) => {
                 w.step(PHASE_DECODE);
-                w.put_ok_header(OpCode::CheckConsistency, trees.len());
+                wire::put_list_header(&mut w, OpCode::CheckConsistency, trees.len());
                 for t in &trees {
                     let consistent = compiled.check_instance_consistency_with(t, scratch);
-                    w.put_u8(consistent as u8);
+                    wire::put_bool(&mut w, consistent);
                 }
                 w.step(PHASE_EXEC);
                 w.finish();
@@ -1641,7 +1516,7 @@ fn respond(
             Err(e) => w.whole(ResponseBody::Error(e)),
             Ok(trees) => {
                 w.step(PHASE_DECODE);
-                w.put_ok_header(OpCode::CanonicalSolution, trees.len());
+                wire::put_list_header(&mut w, OpCode::CanonicalSolution, trees.len());
                 // Fan out on the engine's *configured* parallelism alone.
                 // Consulting live `available_parallelism()` here made the
                 // branch untestable (a 1-core CI box could never exercise
@@ -1664,7 +1539,9 @@ fn respond(
                         pending[i] = Some(result);
                         while let Some(slot) = pending.get_mut(cursor) {
                             let Some(ready) = slot.take() else { break };
-                            put_solution(&mut w, codec, ready);
+                            wire::put_result(&mut w, doc_result(ready), |w, tree| {
+                                wire::put_tree(w, &tree, codec)
+                            });
                             cursor += 1;
                         }
                     });
@@ -1672,7 +1549,8 @@ fn respond(
                     // Single document (or no pool): the worker's own warm
                     // scratch beats spawning compute threads.
                     for t in &trees {
-                        put_solution(&mut w, codec, compiled.canonical_solution_with(t, scratch));
+                        let result = doc_result(compiled.canonical_solution_with(t, scratch));
+                        wire::put_result(&mut w, result, |w, tree| wire::put_tree(w, &tree, codec));
                     }
                 }
                 // Streaming paths interleave compute and serialization, so
@@ -1695,12 +1573,14 @@ fn respond(
             w.step(PHASE_DECODE);
             let plan = QueryPlan::new(&query, compiled.target_dtd());
             w.step(PHASE_PLAN);
-            w.put_ok_header(OpCode::CertainAnswers, trees.len());
+            wire::put_list_header(&mut w, OpCode::CertainAnswers, trees.len());
             for t in &trees {
                 let result = compiled
                     .certain_answers_planned_with(t, &plan, scratch)
-                    .map(|answers| answers.tuples.into_iter().collect());
-                put_answers(&mut w, result);
+                    .map(|answers| answers.tuples.into_iter().collect::<Vec<_>>());
+                wire::put_result(&mut w, doc_result(result), |w, tuples| {
+                    wire::put_tuples(w, &tuples)
+                });
             }
             w.step(PHASE_EXEC);
             w.finish();
@@ -1717,12 +1597,10 @@ fn respond(
             w.step(PHASE_DECODE);
             let plan = QueryPlan::new(&query, compiled.target_dtd());
             w.step(PHASE_PLAN);
-            w.put_ok_header(OpCode::CertainAnswersBoolean, trees.len());
+            wire::put_list_header(&mut w, OpCode::CertainAnswersBoolean, trees.len());
             for t in &trees {
-                put_boolean(
-                    &mut w,
-                    compiled.certain_boolean_planned_with(t, &plan, scratch),
-                );
+                let result = compiled.certain_boolean_planned_with(t, &plan, scratch);
+                wire::put_result(&mut w, doc_result(result), wire::put_bool);
             }
             w.step(PHASE_EXEC);
             w.finish();
@@ -1841,9 +1719,7 @@ fn respond(
             );
             match answer {
                 Ok(CachedAnswer::Consistency(consistent)) => {
-                    w.put_ok_header(OpCode::CheckConsistency, 1);
-                    w.put_u8(consistent as u8);
-                    w.finish();
+                    w.whole(ResponseBody::Consistency(vec![consistent]))
                 }
                 Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
                     setting, doc_id,
@@ -1865,8 +1741,10 @@ fn respond(
             );
             match answer {
                 Ok(CachedAnswer::Solution(result)) => {
-                    w.put_ok_header(OpCode::CanonicalSolution, 1);
-                    put_solution(&mut w, codec, result);
+                    wire::put_list_header(&mut w, OpCode::CanonicalSolution, 1);
+                    wire::put_result(&mut w, doc_result(result), |w, tree| {
+                        wire::put_tree(w, &tree, codec)
+                    });
                     w.finish();
                 }
                 Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
@@ -1902,9 +1780,7 @@ fn respond(
             );
             match answer {
                 Ok(CachedAnswer::Answers(result)) => {
-                    w.put_ok_header(OpCode::CertainAnswers, 1);
-                    put_answers(&mut w, result);
-                    w.finish();
+                    w.whole(ResponseBody::Answers(vec![doc_result(result)]))
                 }
                 Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
                     setting, doc_id,
@@ -1935,9 +1811,7 @@ fn respond(
             );
             match answer {
                 Ok(CachedAnswer::Boolean(result)) => {
-                    w.put_ok_header(OpCode::CertainAnswersBoolean, 1);
-                    put_boolean(&mut w, result);
-                    w.finish();
+                    w.whole(ResponseBody::Booleans(vec![doc_result(result)]))
                 }
                 Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
                     setting, doc_id,
@@ -1945,17 +1819,19 @@ fn respond(
                 Err(e) => w.whole(ResponseBody::Error(e)),
             }
         }
-        // Registry ops are answered by the registry path before `respond`
-        // is reached; a job carrying one here is a dispatch bug, but
-        // answer it with a structured error instead of poisoning the
-        // worker.
-        RequestBody::PutSetting { .. }
+        // `Ping` and `Hello` are answered by the event loop, registry ops
+        // and `Stats` by the worker before `respond` is reached; a job
+        // carrying one here is a dispatch bug, but answer it with a
+        // structured error instead of poisoning the worker.
+        RequestBody::Ping
+        | RequestBody::Hello { .. }
+        | RequestBody::PutSetting { .. }
         | RequestBody::ListSettings
         | RequestBody::EvictSetting { .. }
         | RequestBody::Stats => {
             w.whole(ResponseBody::Error(WireError::new(
                 wire::ErrorCode::UnknownOp,
-                "registry op dispatched to the exchange path".to_string(),
+                "op dispatched to the exchange path".to_string(),
             )));
         }
     }
@@ -2178,9 +2054,6 @@ impl EventLoop<'_> {
             wq_bytes: 0,
             inflight: 0,
             codec: Codec::Text,
-            chunked: false,
-            settings: false,
-            stats_v2: false,
             closing: false,
             want_write: false,
             peer_eof: false,
@@ -2364,18 +2237,7 @@ impl EventLoop<'_> {
             .and_then(Option::as_ref)
             .map(|c| c.codec)
             .unwrap_or_default();
-        let settings = self
-            .conns
-            .get(slot)
-            .and_then(Option::as_ref)
-            .map(|c| c.settings)
-            .unwrap_or(false);
-        let request = match wire::decode_request(
-            payload,
-            self.config.max_docs_per_request,
-            codec,
-            settings,
-        ) {
+        let request = match wire::decode_request(payload, self.config.max_docs_per_request, codec) {
             Ok(request) => {
                 if let Some(t) = &mut trace {
                     t.step(PHASE_DECODE);
@@ -2421,10 +2283,10 @@ impl EventLoop<'_> {
         }
         if let RequestBody::Hello { features } = request.body {
             // Negotiation is loop-local state, so it is handled here (and,
-            // like `Ping`, bypasses the budget). The accepted feature set
-            // applies to every frame parsed *after* this one; responses to
-            // earlier frames still in flight keep the codec they were
-            // dispatched with.
+            // like `Ping`, bypasses the budget). The accepted codec applies
+            // to every frame parsed *after* this one; responses to earlier
+            // frames still in flight keep the codec they were dispatched
+            // with.
             let accepted = features & wire::SUPPORTED_FEATURES;
             if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
                 conn.codec = if accepted & wire::FEATURE_BINARY_DOCS != 0 {
@@ -2432,37 +2294,12 @@ impl EventLoop<'_> {
                 } else {
                     Codec::Text
                 };
-                conn.chunked = accepted & wire::FEATURE_CHUNKED_RESPONSES != 0;
-                conn.settings = accepted & wire::FEATURE_SETTINGS != 0;
-                conn.stats_v2 = accepted & wire::FEATURE_STATS_V2 != 0;
             }
             self.enqueue_response(
                 slot,
                 &ResponseFrame {
                     id: request.id,
                     body: ResponseBody::HelloOk { features: accepted },
-                },
-            );
-            return;
-        }
-        if !settings
-            && matches!(
-                request.body,
-                RequestBody::PutSetting { .. }
-                    | RequestBody::ListSettings
-                    | RequestBody::EvictSetting { .. }
-            )
-        {
-            // To a v1/v2 peer these opcodes do not exist; rejecting them
-            // before negotiation keeps pre-v3 behavior exact.
-            self.enqueue_response(
-                slot,
-                &ResponseFrame {
-                    id: request.id,
-                    body: ResponseBody::Error(WireError::new(
-                        wire::ErrorCode::UnknownOp,
-                        "registry ops require negotiating FEATURE_SETTINGS",
-                    )),
                 },
             );
             return;
@@ -2511,12 +2348,6 @@ impl EventLoop<'_> {
             slot,
             generation: conn.generation,
             codec: conn.codec,
-            chunk_bytes: if conn.chunked {
-                self.config.chunk_bytes.max(1)
-            } else {
-                usize::MAX
-            },
-            stats_v2: conn.stats_v2,
             trace: trace.map(|t| {
                 Box::new(ReqTrace {
                     op: request.body.op() as u8,
@@ -2585,7 +2416,7 @@ impl EventLoop<'_> {
 
     /// Encode a loop-generated response and queue it for writing.
     fn enqueue_response(&mut self, slot: usize, frame: &ResponseFrame) {
-        let bytes = wire::frame(wire::encode_response(frame));
+        let bytes = wire::encode_response_frame(frame);
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };

@@ -1,23 +1,26 @@
 //! The length-prefixed binary wire protocol (see `PROTOCOL.md`).
 //!
 //! A frame is `[len: u32 BE][payload: len bytes]`. Request payloads are
-//! `[op: u8][id: u64 BE][body]`; response payloads are
+//! `[op: u8][id: u64 BE][setting_id: u64 BE][body]`; response payloads are
 //! `[status: u8][id: u64 BE][body]`. Queries travel as the rule syntax of
 //! [`xdx_patterns::parser::parse_query`] inside length-prefixed UTF-8
 //! strings (`[len: u32 BE][bytes]`). Documents travel in the connection's
-//! negotiated [`Codec`]: the lossless tree text of [`xdx_xmltree::text`]
-//! by default (protocol v1, still the v2 default), or the binary preorder
-//! frames of [`xdx_xmltree::binary`] after a [`RequestBody::Hello`]
-//! negotiation (protocol v2) — both as length-prefixed blobs, so framing
-//! is codec-independent.
+//! [`Codec`]: the lossless tree text of [`xdx_xmltree::text`] until a
+//! [`RequestBody::Hello`] accepts [`FEATURE_BINARY_DOCS`], the binary
+//! preorder frames of [`xdx_xmltree::binary`] after it — both as
+//! length-prefixed blobs, so framing is codec-independent.
 //!
-//! v2 also adds chunked responses: when the client negotiates
-//! [`FEATURE_CHUNKED_RESPONSES`], one logical response may arrive as any
-//! number of [`STATUS_OK_PARTIAL`] frames followed by a final `STATUS_OK`
-//! frame with the same id; the logical payload is the concatenation of the
-//! partial bodies (in arrival order, which the server guarantees) plus the
-//! final one. [`decode_response`] expects a fully reassembled payload; the
+//! One logical OK response may arrive as any number of
+//! [`STATUS_OK_PARTIAL`] frames followed by a final `STATUS_OK` frame with
+//! the same id; the logical payload is the concatenation of the partial
+//! bodies (in arrival order, which the server guarantees) plus the final
+//! one. [`decode_response`] expects a fully reassembled payload; the
 //! client does the reassembly.
+//!
+//! The response layout is written once, by the `put_*` functions of this
+//! module over any [`ByteSink`]: [`encode_response`] runs them into a
+//! `Vec`, and the server's streaming writer runs the very same functions
+//! into a sink that cuts `STATUS_OK_PARTIAL` segments as it fills.
 //!
 //! Every decoder in this module is **total**: arbitrary bytes produce a
 //! structured [`DecodeError`], never a panic, and no length field is
@@ -26,10 +29,11 @@
 //! round-trip every frame shape and throw garbage/truncations at the
 //! decoders.
 
+use std::borrow::Borrow;
 use std::fmt;
 use xdx_core::solution::SolutionError;
 use xdx_patterns::QueryParseError;
-use xdx_xmltree::binary::BinaryError;
+use xdx_xmltree::binary::{BinaryError, ByteSink};
 use xdx_xmltree::{parse_tree, tree_to_text, TreeTextError, XmlTree};
 
 /// Hard protocol cap on documents per request (servers may configure a
@@ -41,38 +45,18 @@ pub const MAX_DOCS_PER_REQUEST: usize = 1024;
 pub const DEFAULT_MAX_FRAME_BYTES: usize = xdx_xmltree::limits::DEFAULT_FRAME_BYTES;
 
 /// Feature flag: documents travel as [`xdx_xmltree::binary`] frames instead
-/// of tree text (both directions).
+/// of tree text (both directions). The only negotiated feature: the setting
+/// id, chunked responses and the Stats histogram section are part of the
+/// one framing every connection speaks.
 pub const FEATURE_BINARY_DOCS: u32 = 1 << 0;
-
-/// Feature flag: the server may split OK responses into
-/// [`STATUS_OK_PARTIAL`] chunk frames.
-pub const FEATURE_CHUNKED_RESPONSES: u32 = 1 << 1;
-
-/// Feature flag (v3): multi-tenant settings. After negotiation every
-/// request payload carries a **setting id** (u64, directly after the
-/// request id) naming the setting binding the request addresses — id 0 is
-/// the setting the server was started with — and the registry ops
-/// ([`OpCode::PutSetting`], [`OpCode::ListSettings`],
-/// [`OpCode::EvictSetting`]) become available. Connections that do not
-/// negotiate this bit keep the v1/v2 layout byte for byte and implicitly
-/// address setting 0.
-pub const FEATURE_SETTINGS: u32 = 1 << 2;
-
-/// Feature flag (v5): typed histogram rows in [`ResponseBody::StatsOk`].
-/// After negotiation, `Stats` responses append a histogram section (count
-/// plus [`StatsHistogram`] rows) behind the counter rows. Connections that
-/// do not negotiate this bit receive the v4 counters-only encoding byte
-/// for byte — the section is never present there, not merely empty.
-pub const FEATURE_STATS_V2: u32 = 1 << 3;
 
 /// All feature bits this implementation understands; a server answers
 /// `Hello` with the intersection of this mask and the client's request.
-pub const SUPPORTED_FEATURES: u32 =
-    FEATURE_BINARY_DOCS | FEATURE_CHUNKED_RESPONSES | FEATURE_SETTINGS | FEATURE_STATS_V2;
+pub const SUPPORTED_FEATURES: u32 = FEATURE_BINARY_DOCS;
 
-/// Which document codec a connection speaks. Text is the v1 format and the
-/// v2 default; Binary is switched on per connection by a successful
-/// [`RequestBody::Hello`] negotiation of [`FEATURE_BINARY_DOCS`].
+/// Which document codec a connection speaks. Text is the default; Binary is
+/// switched on per connection by a successful [`RequestBody::Hello`]
+/// negotiation of [`FEATURE_BINARY_DOCS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Codec {
     /// Lossless tree text ([`xdx_xmltree::text`]).
@@ -185,7 +169,7 @@ pub enum OpCode {
     CertainAnswers = 3,
     /// Certain answer of a Boolean query per document.
     CertainAnswersBoolean = 4,
-    /// Protocol v2 feature negotiation (codec, chunked responses).
+    /// Feature negotiation (the document codec).
     Hello = 5,
     /// Store a document under an id in the server's resident store (v2).
     PutDoc = 6,
@@ -242,8 +226,8 @@ impl OpCode {
     }
 
     /// Short lower-case identifier for metric keys and log lines — stable
-    /// across versions (`req.{name}.…` Stats-v2 rows are part of the wire
-    /// vocabulary, see `PROTOCOL.md`).
+    /// across versions (`req.{name}.…` `Stats` histogram rows are part of
+    /// the wire vocabulary, see `PROTOCOL.md`).
     pub fn name(self) -> &'static str {
         match self {
             OpCode::Ping => "ping",
@@ -488,16 +472,15 @@ pub struct RequestFrame {
     /// Client-chosen id, echoed verbatim in the response (responses may
     /// arrive out of order under pipelining).
     pub id: u64,
-    /// The setting binding this request addresses (v3). On the wire only
-    /// after [`FEATURE_SETTINGS`] negotiation; always `0` — the default
-    /// setting — on v1/v2 connections.
+    /// The setting binding this request addresses; `0` is the setting the
+    /// server was started with.
     pub setting_id: u64,
     /// The operation and its arguments.
     pub body: RequestBody,
 }
 
 impl RequestFrame {
-    /// A frame addressing the default setting (what v1/v2 always do).
+    /// A frame addressing the default setting 0.
     pub fn new(id: u64, body: RequestBody) -> RequestFrame {
         RequestFrame {
             id,
@@ -513,7 +496,7 @@ impl RequestFrame {
 pub enum RequestBody {
     /// Health check.
     Ping,
-    /// Feature negotiation (v2): the client proposes a feature set, the
+    /// Feature negotiation: the client proposes a feature set, the
     /// server answers [`ResponseBody::HelloOk`] with the accepted subset,
     /// which takes effect for every subsequent frame on the connection.
     Hello {
@@ -782,15 +765,13 @@ pub enum ResponseBody {
     StatsOk {
         /// `(name, value)` rows, ascending by name.
         counters: Vec<(String, u64)>,
-        /// Histogram rows, ascending by name — present on the wire only
-        /// when [`FEATURE_STATS_V2`] was negotiated (and, like the
-        /// counters, additive: unknown names must be ignored). Always
-        /// empty on non-negotiated connections.
+        /// Histogram rows, ascending by name (possibly none) — additive
+        /// like the counters: unknown names must be ignored.
         histograms: Vec<StatsHistogram>,
     },
 }
 
-/// One typed histogram row of a Stats-v2 response: a sparse snapshot of an
+/// One typed histogram row of a `Stats` response: a sparse snapshot of an
 /// [`xdx_obs::Histogram`] — summary moments plus the non-zero log₂ buckets
 /// (`(bucket index, count)`, ascending by index). Reconstruct quantiles
 /// client-side with [`xdx_obs::HistogramSnapshot::from_sparse`].
@@ -809,7 +790,9 @@ pub struct StatsHistogram {
     pub min: u64,
     /// Largest recorded value.
     pub max: u64,
-    /// `(bucket index, count)` for each non-zero bucket, ascending index.
+    /// `(bucket index, count)` for each non-zero bucket, strictly
+    /// ascending index below [`xdx_obs::BUCKETS`] (the decoder rejects any
+    /// other row).
     pub buckets: Vec<(u8, u64)>,
 }
 
@@ -819,10 +802,9 @@ pub const STATUS_OK: u8 = 0;
 pub const STATUS_ERROR: u8 = 1;
 /// Response status: server saturated, no body.
 pub const STATUS_BUSY: u8 = 2;
-/// Response status (v2, negotiated): a chunk of a logical OK response;
-/// more frames with the same id follow, the last one carrying
-/// [`STATUS_OK`]. Only sent after [`FEATURE_CHUNKED_RESPONSES`] was
-/// accepted on the connection.
+/// Response status: a chunk of a logical OK response; more frames with the
+/// same id follow, the last one carrying [`STATUS_OK`]. The server cuts
+/// every OK response longer than its configured chunk size this way.
 pub const STATUS_OK_PARTIAL: u8 = 3;
 /// Response status (v4): the server is draining for shutdown; the request
 /// was not executed and the connection will close after in-flight
@@ -912,10 +894,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
-    fn has_remaining(&self) -> bool {
-        self.pos < self.buf.len()
-    }
-
     fn finish(&self) -> Result<(), DecodeError> {
         if self.pos != self.buf.len() {
             Err(self.err(format!(
@@ -928,27 +906,55 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
+/// `n:u16 n × item` — the shape of every list in a response.
+fn read_list<T>(
+    r: &mut Reader<'_>,
+    read: impl Fn(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let n = r.u16()? as usize;
+    // Capacity is bounded independently of the (untrusted) count.
+    let mut items = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        items.push(read(r)?);
+    }
+    Ok(items)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
+fn put_u8(out: &mut impl ByteSink, v: u8) {
+    out.put(&[v]);
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
+fn put_u16(out: &mut impl ByteSink, v: u16) {
+    out.put(&v.to_be_bytes());
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
+fn put_u32(out: &mut impl ByteSink, v: u32) {
+    out.put(&v.to_be_bytes());
+}
+
+fn put_u64(out: &mut impl ByteSink, v: u64) {
+    out.put(&v.to_be_bytes());
+}
+
+/// The `n:u16` count in front of a list.
+fn put_count(out: &mut impl ByteSink, n: usize) {
+    put_u16(out, u16::try_from(n).expect("list length exceeds u16"));
+}
+
+/// `len:u32 bytes` — strings, documents and edit batches alike.
+fn put_blob(out: &mut impl ByteSink, bytes: &[u8]) {
     put_u32(
         out,
-        u32::try_from(s.len()).expect("string exceeds u32::MAX bytes"),
+        u32::try_from(bytes.len()).expect("blob exceeds u32::MAX bytes"),
     );
-    out.extend_from_slice(s.as_bytes());
+    out.put(bytes);
 }
 
-fn put_wire_error(out: &mut Vec<u8>, e: &WireError) {
+fn put_string(out: &mut impl ByteSink, s: &str) {
+    put_blob(out, s.as_bytes());
+}
+
+fn put_wire_error(out: &mut impl ByteSink, e: &WireError) {
     put_u16(out, e.code as u16);
     put_string(out, &e.message);
 }
@@ -959,19 +965,6 @@ fn read_wire_error(r: &mut Reader<'_>) -> Result<WireError, DecodeError> {
         ErrorCode::from_u16(raw).ok_or_else(|| r.err(format!("unknown error code {raw}")))?;
     let message = r.string()?;
     Ok(WireError { code, message })
-}
-
-fn put_doc_result<T>(out: &mut Vec<u8>, result: &DocResult<T>, put: impl Fn(&mut Vec<u8>, &T)) {
-    match result {
-        Ok(v) => {
-            out.push(0);
-            put(out, v);
-        }
-        Err(e) => {
-            out.push(1);
-            put_wire_error(out, e);
-        }
-    }
 }
 
 fn read_doc_result<T>(
@@ -1000,29 +993,18 @@ fn read_doc(r: &mut Reader<'_>, codec: Codec) -> Result<WireDoc, DecodeError> {
     }
 }
 
-fn put_doc(out: &mut Vec<u8>, doc: &WireDoc) {
-    let bytes = doc.as_bytes();
-    put_u32(
-        out,
-        u32::try_from(bytes.len()).expect("document exceeds u32::MAX bytes"),
-    );
-    out.extend_from_slice(bytes);
-}
-
 fn read_docs(
     r: &mut Reader<'_>,
     max_docs: usize,
     codec: Codec,
 ) -> Result<Vec<WireDoc>, DecodeError> {
     let n = r.u16()? as usize;
-    if n > MAX_DOCS_PER_REQUEST.min(max_docs) {
+    let cap = MAX_DOCS_PER_REQUEST.min(max_docs);
+    if n > cap {
         return Err(DecodeError::new(
             r.id,
             ErrorCode::TooManyDocs,
-            format!(
-                "{n} documents exceed the limit of {}",
-                MAX_DOCS_PER_REQUEST.min(max_docs)
-            ),
+            format!("{n} documents exceed the limit of {cap}"),
         ));
     }
     let mut docs = Vec::with_capacity(n);
@@ -1032,13 +1014,233 @@ fn read_docs(
     Ok(docs)
 }
 
-fn put_docs(out: &mut Vec<u8>, docs: &[WireDoc]) {
-    put_u16(
-        out,
-        u16::try_from(docs.len()).expect("doc count exceeds u16"),
-    );
+fn put_docs(out: &mut impl ByteSink, docs: &[WireDoc]) {
+    put_count(out, docs.len());
     for d in docs {
         put_doc(out, d);
+    }
+}
+
+/// One histogram row. Bucket indices must be strictly ascending and below
+/// [`xdx_obs::BUCKETS`] — what the encoder emits — so a hostile row cannot
+/// repeat a bucket to push a sum past `u64::MAX` in the client.
+fn read_histogram(r: &mut Reader<'_>) -> Result<StatsHistogram, DecodeError> {
+    let name = r.string()?;
+    let unit = r.u8()?;
+    let (count, sum, min, max) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+    let nb = r.u8()? as usize;
+    let mut buckets: Vec<(u8, u64)> = Vec::with_capacity(nb);
+    for _ in 0..nb {
+        let (idx, n) = (r.u8()?, r.u64()?);
+        if usize::from(idx) >= xdx_obs::BUCKETS || buckets.last().is_some_and(|&(p, _)| p >= idx) {
+            return Err(r.err(format!(
+                "histogram {name:?}: bucket {idx} out of range or out of order"
+            )));
+        }
+        buckets.push((idx, n));
+    }
+    Ok(StatsHistogram {
+        name,
+        unit,
+        count,
+        sum,
+        min,
+        max,
+        buckets,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// The response layout — shared by `encode_response` and the server's
+// streaming writer
+// ---------------------------------------------------------------------------
+
+/// `[status][id]`, the header of every response frame.
+pub(crate) fn put_response_header(out: &mut impl ByteSink, status: u8, id: u64) {
+    put_u8(out, status);
+    put_u64(out, id);
+}
+
+/// `[op]`, the first byte of every OK body (echoing the request op).
+fn put_op(out: &mut impl ByteSink, op: OpCode) {
+    put_u8(out, op as u8);
+}
+
+/// `[op][n:u16]`, the start of an OK body that carries a list — one result
+/// per document, or the rows of a listing.
+pub(crate) fn put_list_header(out: &mut impl ByteSink, op: OpCode, n: usize) {
+    put_op(out, op);
+    put_count(out, n);
+}
+
+/// `result(X) := 0:u8 X | 1:u8 code:u16 message:str` — one per-document
+/// result, its value written by `put_value`.
+pub(crate) fn put_result<S: ByteSink, T, E: Borrow<WireError>>(
+    out: &mut S,
+    result: Result<T, E>,
+    put_value: impl FnOnce(&mut S, T),
+) {
+    match result {
+        Ok(v) => {
+            put_u8(out, 0);
+            put_value(out, v);
+        }
+        Err(e) => {
+            put_u8(out, 1);
+            put_wire_error(out, e.borrow());
+        }
+    }
+}
+
+/// A `bool:u8`.
+pub(crate) fn put_bool(out: &mut impl ByteSink, b: bool) {
+    put_u8(out, b as u8);
+}
+
+/// A document already in wire form.
+pub(crate) fn put_doc(out: &mut impl ByteSink, doc: &WireDoc) {
+    put_blob(out, doc.as_bytes());
+}
+
+/// A document straight from its tree, in `codec` — the same bytes as
+/// [`put_doc`] of [`WireDoc::from_tree`]. Under [`Codec::Binary`] the
+/// two-pass encoder knows the exact length before writing, so the frame
+/// streams into `out` unbuffered.
+pub(crate) fn put_tree(out: &mut impl ByteSink, tree: &XmlTree, codec: Codec) {
+    match codec {
+        Codec::Text => put_string(out, &tree_to_text(tree)),
+        Codec::Binary => {
+            let enc = xdx_xmltree::binary::Encoder::new(tree);
+            put_u32(
+                out,
+                u32::try_from(enc.encoded_len()).expect("document exceeds u32::MAX bytes"),
+            );
+            enc.write_to(out);
+        }
+    }
+}
+
+/// A certain-answer tuple set: `k:u32 k × (arity:u16 arity × str)`.
+pub(crate) fn put_tuples(out: &mut impl ByteSink, tuples: &[Vec<String>]) {
+    put_u32(
+        out,
+        u32::try_from(tuples.len()).expect("tuple count exceeds u32"),
+    );
+    for tuple in tuples {
+        put_count(out, tuple.len());
+        for v in tuple {
+            put_string(out, v);
+        }
+    }
+}
+
+/// The status byte `body` travels under.
+pub(crate) fn response_status(body: &ResponseBody) -> u8 {
+    match body {
+        ResponseBody::Error(_) => STATUS_ERROR,
+        ResponseBody::Busy => STATUS_BUSY,
+        ResponseBody::GoAway => STATUS_GOAWAY,
+        _ => STATUS_OK,
+    }
+}
+
+/// Everything of a response after its `[status][id]` header: the error of
+/// an `Error`, nothing for `Busy`/`GoAway`, and for an OK body the echoed
+/// op byte followed by the op's result.
+pub(crate) fn put_response_body<S: ByteSink>(out: &mut S, body: &ResponseBody) {
+    match body {
+        ResponseBody::Error(e) => put_wire_error(out, e),
+        ResponseBody::Busy | ResponseBody::GoAway => {}
+        ResponseBody::Pong => put_op(out, OpCode::Ping),
+        ResponseBody::HelloOk { features } => {
+            put_op(out, OpCode::Hello);
+            put_u32(out, *features);
+        }
+        ResponseBody::Consistency(flags) => {
+            put_list_header(out, OpCode::CheckConsistency, flags.len());
+            for &b in flags {
+                put_bool(out, b);
+            }
+        }
+        ResponseBody::Solutions(results) => {
+            put_list_header(out, OpCode::CanonicalSolution, results.len());
+            for result in results {
+                put_result(out, result.as_ref(), put_doc);
+            }
+        }
+        ResponseBody::Answers(results) => {
+            put_list_header(out, OpCode::CertainAnswers, results.len());
+            for result in results {
+                put_result(out, result.as_ref(), |out, tuples| put_tuples(out, tuples));
+            }
+        }
+        ResponseBody::Booleans(results) => {
+            put_list_header(out, OpCode::CertainAnswersBoolean, results.len());
+            for result in results {
+                put_result(out, result.as_ref(), |out, &b| put_bool(out, b));
+            }
+        }
+        ResponseBody::PutDocOk { version } => {
+            put_op(out, OpCode::PutDoc);
+            put_u64(out, *version);
+        }
+        ResponseBody::GetDocOk { version, doc } => {
+            put_op(out, OpCode::GetDoc);
+            put_u64(out, *version);
+            put_doc(out, doc);
+        }
+        ResponseBody::EditDocOk { version } => {
+            put_op(out, OpCode::EditDoc);
+            put_u64(out, *version);
+        }
+        ResponseBody::DeleteDocOk => put_op(out, OpCode::DeleteDoc),
+        ResponseBody::PutSettingOk {
+            content_hash,
+            reused,
+        } => {
+            put_op(out, OpCode::PutSetting);
+            put_u64(out, *content_hash);
+            put_bool(out, *reused);
+        }
+        ResponseBody::SettingList { entries } => {
+            put_list_header(out, OpCode::ListSettings, entries.len());
+            for e in entries {
+                put_u64(out, e.bind_id);
+                put_u64(out, e.content_hash);
+                put_bool(out, e.compiled);
+                put_u64(out, e.cost);
+            }
+        }
+        ResponseBody::EvictSettingOk { dropped } => {
+            put_op(out, OpCode::EvictSetting);
+            put_bool(out, *dropped);
+        }
+        ResponseBody::StatsOk {
+            counters,
+            histograms,
+        } => {
+            put_list_header(out, OpCode::Stats, counters.len());
+            for (name, value) in counters {
+                put_string(out, name);
+                put_u64(out, *value);
+            }
+            put_count(out, histograms.len());
+            for h in histograms {
+                put_string(out, &h.name);
+                put_u8(out, h.unit);
+                for v in [h.count, h.sum, h.min, h.max] {
+                    put_u64(out, v);
+                }
+                put_u8(
+                    out,
+                    u8::try_from(h.buckets.len()).expect("more than 255 buckets"),
+                );
+                for &(idx, n) in &h.buckets {
+                    put_u8(out, idx);
+                    put_u64(out, n);
+                }
+            }
+        }
     }
 }
 
@@ -1046,30 +1248,31 @@ fn put_docs(out: &mut Vec<u8>, docs: &[WireDoc]) {
 // Frame encoding/decoding
 // ---------------------------------------------------------------------------
 
+/// Write `buf.len() - 4` into the 4 bytes reserved at the front of `buf`:
+/// seals a frame encoded after a length placeholder.
+pub(crate) fn patch_frame_len(buf: &mut [u8]) {
+    let len = u32::try_from(buf.len() - 4).expect("payload exceeds u32::MAX bytes");
+    buf[0..4].copy_from_slice(&len.to_be_bytes());
+}
+
 /// Wrap a payload in its `[len: u32 BE]` prefix.
 pub fn frame(payload: Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 4);
-    put_u32(
-        &mut out,
-        u32::try_from(payload.len()).expect("payload exceeds u32::MAX bytes"),
-    );
+    out.extend_from_slice(&[0u8; 4]);
     out.extend_from_slice(&payload);
+    patch_frame_len(&mut out);
     out
 }
 
 /// Encode a request payload into `out` (no length prefix; see [`frame`]).
 /// Appends without clearing, so a caller can reserve framing bytes first
-/// and reuse one buffer across pipelined requests. `settings` says whether
-/// [`FEATURE_SETTINGS`] was negotiated on the connection — only then does
-/// the frame carry its setting id.
-pub fn encode_request_into(req: &RequestFrame, settings: bool, out: &mut Vec<u8>) {
+/// and reuse one buffer across pipelined requests.
+pub fn encode_request_into(req: &RequestFrame, out: &mut Vec<u8>) {
     out.push(req.body.op() as u8);
     put_u64(out, req.id);
-    if settings {
-        put_u64(out, req.setting_id);
-    }
+    put_u64(out, req.setting_id);
     match &req.body {
-        RequestBody::Ping => {}
+        RequestBody::Ping | RequestBody::ListSettings | RequestBody::Stats => {}
         RequestBody::Hello { features } => put_u32(out, *features),
         RequestBody::CheckConsistency { docs } | RequestBody::CanonicalSolution { docs } => {
             put_docs(out, docs);
@@ -1094,11 +1297,7 @@ pub fn encode_request_into(req: &RequestFrame, settings: bool, out: &mut Vec<u8>
         } => {
             put_u64(out, *doc_id);
             put_u64(out, *base_version);
-            put_u32(
-                out,
-                u32::try_from(edits.len()).expect("edit batch exceeds u32::MAX bytes"),
-            );
-            out.extend_from_slice(edits);
+            put_blob(out, edits);
         }
         RequestBody::CertainAnswersStored { query, doc_id }
         | RequestBody::CertainAnswersBooleanStored { query, doc_id } => {
@@ -1109,34 +1308,29 @@ pub fn encode_request_into(req: &RequestFrame, settings: bool, out: &mut Vec<u8>
             put_u64(out, *bind_id);
             put_string(out, text);
         }
-        RequestBody::ListSettings => {}
         RequestBody::EvictSetting { bind_id } => put_u64(out, *bind_id),
-        RequestBody::Stats => {}
     }
 }
 
 /// Encode a request payload (no length prefix; see [`frame`]).
-pub fn encode_request(req: &RequestFrame, settings: bool) -> Vec<u8> {
+pub fn encode_request(req: &RequestFrame) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_request_into(req, settings, &mut out);
+    encode_request_into(req, &mut out);
     out
 }
 
 /// Decode a request payload. `max_docs` is the server's configured
 /// per-request document cap (the protocol cap [`MAX_DOCS_PER_REQUEST`]
-/// applies on top); `codec` is the connection's negotiated document codec;
-/// `settings` says whether [`FEATURE_SETTINGS`] was negotiated (only then
-/// does the frame carry a setting id).
+/// applies on top); `codec` is the connection's negotiated document codec.
 pub fn decode_request(
     payload: &[u8],
     max_docs: usize,
     codec: Codec,
-    settings: bool,
 ) -> Result<RequestFrame, DecodeError> {
     let mut r = Reader::new(payload);
     let op_raw = r.u8()?;
     r.id = r.u64()?;
-    let setting_id = if settings { r.u64()? } else { 0 };
+    let setting_id = r.u64()?;
     let op = OpCode::from_u8(op_raw).ok_or_else(|| {
         DecodeError::new(r.id, ErrorCode::UnknownOp, format!("unknown op {op_raw}"))
     })?;
@@ -1149,20 +1343,14 @@ pub fn decode_request(
         OpCode::CanonicalSolution => RequestBody::CanonicalSolution {
             docs: read_docs(&mut r, max_docs, codec)?,
         },
-        OpCode::CertainAnswers => {
-            let query = r.string()?;
-            RequestBody::CertainAnswers {
-                query,
-                docs: read_docs(&mut r, max_docs, codec)?,
-            }
-        }
-        OpCode::CertainAnswersBoolean => {
-            let query = r.string()?;
-            RequestBody::CertainAnswersBoolean {
-                query,
-                docs: read_docs(&mut r, max_docs, codec)?,
-            }
-        }
+        OpCode::CertainAnswers => RequestBody::CertainAnswers {
+            query: r.string()?,
+            docs: read_docs(&mut r, max_docs, codec)?,
+        },
+        OpCode::CertainAnswersBoolean => RequestBody::CertainAnswersBoolean {
+            query: r.string()?,
+            docs: read_docs(&mut r, max_docs, codec)?,
+        },
         OpCode::PutDoc => RequestBody::PutDoc {
             doc_id: r.u64()?,
             doc: read_doc(&mut r, codec)?,
@@ -1202,186 +1390,26 @@ pub fn decode_request(
     })
 }
 
+/// Encode a response payload into `out` (no length prefix; see [`frame`]).
+/// Appends without clearing, like [`encode_request_into`].
+fn encode_response_into(resp: &ResponseFrame, out: &mut impl ByteSink) {
+    put_response_header(out, response_status(&resp.body), resp.id);
+    put_response_body(out, &resp.body);
+}
+
 /// Encode a response payload (no length prefix; see [`frame`]).
 pub fn encode_response(resp: &ResponseFrame) -> Vec<u8> {
     let mut out = Vec::new();
-    match &resp.body {
-        ResponseBody::Error(e) => {
-            out.push(STATUS_ERROR);
-            put_u64(&mut out, resp.id);
-            put_wire_error(&mut out, e);
-        }
-        ResponseBody::Busy => {
-            out.push(STATUS_BUSY);
-            put_u64(&mut out, resp.id);
-        }
-        ResponseBody::GoAway => {
-            out.push(STATUS_GOAWAY);
-            put_u64(&mut out, resp.id);
-        }
-        ResponseBody::Pong => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::Ping as u8);
-        }
-        ResponseBody::HelloOk { features } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::Hello as u8);
-            put_u32(&mut out, *features);
-        }
-        ResponseBody::Consistency(flags) => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::CheckConsistency as u8);
-            put_u16(
-                &mut out,
-                u16::try_from(flags.len()).expect("doc count exceeds u16"),
-            );
-            out.extend(flags.iter().map(|&b| b as u8));
-        }
-        ResponseBody::Solutions(results) => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::CanonicalSolution as u8);
-            put_u16(
-                &mut out,
-                u16::try_from(results.len()).expect("doc count exceeds u16"),
-            );
-            for result in results {
-                put_doc_result(&mut out, result, put_doc);
-            }
-        }
-        ResponseBody::Answers(results) => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::CertainAnswers as u8);
-            put_u16(
-                &mut out,
-                u16::try_from(results.len()).expect("doc count exceeds u16"),
-            );
-            for result in results {
-                put_doc_result(&mut out, result, |out, tuples| {
-                    put_u32(
-                        out,
-                        u32::try_from(tuples.len()).expect("tuple count exceeds u32"),
-                    );
-                    for tuple in tuples {
-                        put_u16(out, u16::try_from(tuple.len()).expect("arity exceeds u16"));
-                        for v in tuple {
-                            put_string(out, v);
-                        }
-                    }
-                });
-            }
-        }
-        ResponseBody::Booleans(results) => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::CertainAnswersBoolean as u8);
-            put_u16(
-                &mut out,
-                u16::try_from(results.len()).expect("doc count exceeds u16"),
-            );
-            for result in results {
-                put_doc_result(&mut out, result, |out, &b| out.push(b as u8));
-            }
-        }
-        ResponseBody::PutDocOk { version } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::PutDoc as u8);
-            put_u64(&mut out, *version);
-        }
-        ResponseBody::GetDocOk { version, doc } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::GetDoc as u8);
-            put_u64(&mut out, *version);
-            put_doc(&mut out, doc);
-        }
-        ResponseBody::EditDocOk { version } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::EditDoc as u8);
-            put_u64(&mut out, *version);
-        }
-        ResponseBody::DeleteDocOk => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::DeleteDoc as u8);
-        }
-        ResponseBody::PutSettingOk {
-            content_hash,
-            reused,
-        } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::PutSetting as u8);
-            put_u64(&mut out, *content_hash);
-            out.push(*reused as u8);
-        }
-        ResponseBody::SettingList { entries } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::ListSettings as u8);
-            put_u16(
-                &mut out,
-                u16::try_from(entries.len()).expect("binding count exceeds u16"),
-            );
-            for e in entries {
-                put_u64(&mut out, e.bind_id);
-                put_u64(&mut out, e.content_hash);
-                out.push(e.compiled as u8);
-                put_u64(&mut out, e.cost);
-            }
-        }
-        ResponseBody::EvictSettingOk { dropped } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::EvictSetting as u8);
-            out.push(*dropped as u8);
-        }
-        ResponseBody::StatsOk {
-            counters,
-            histograms,
-        } => {
-            out.push(STATUS_OK);
-            put_u64(&mut out, resp.id);
-            out.push(OpCode::Stats as u8);
-            put_u16(
-                &mut out,
-                u16::try_from(counters.len()).expect("counter count exceeds u16"),
-            );
-            for (name, value) in counters {
-                put_string(&mut out, name);
-                put_u64(&mut out, *value);
-            }
-            // The v2 histogram section exists on the wire only when there
-            // is one: a server that did not negotiate FEATURE_STATS_V2
-            // passes an empty vec and the frame stays byte-identical to
-            // the v4 encoding (pinned by `stats_v4_bytes_pinned`).
-            if !histograms.is_empty() {
-                put_u16(
-                    &mut out,
-                    u16::try_from(histograms.len()).expect("histogram count exceeds u16"),
-                );
-                for h in histograms {
-                    put_string(&mut out, &h.name);
-                    out.push(h.unit);
-                    put_u64(&mut out, h.count);
-                    put_u64(&mut out, h.sum);
-                    put_u64(&mut out, h.min);
-                    put_u64(&mut out, h.max);
-                    out.push(u8::try_from(h.buckets.len()).expect("more than 64 buckets"));
-                    for &(idx, n) in &h.buckets {
-                        out.push(idx);
-                        put_u64(&mut out, n);
-                    }
-                }
-            }
-        }
-    }
+    encode_response_into(resp, &mut out);
+    out
+}
+
+/// Encode a response as one whole frame, length prefix included, in a
+/// single buffer.
+pub(crate) fn encode_response_frame(resp: &ResponseFrame) -> Vec<u8> {
+    let mut out = vec![0u8; 4];
+    encode_response_into(resp, &mut out);
+    patch_frame_len(&mut out);
     out
 }
 
@@ -1409,56 +1437,23 @@ pub fn decode_response(payload: &[u8], codec: Codec) -> Result<ResponseFrame, De
                 OpCode::Ping => ResponseBody::Pong,
                 OpCode::Hello => ResponseBody::HelloOk { features: r.u32()? },
                 OpCode::CheckConsistency => {
-                    let n = r.u16()? as usize;
-                    let mut flags = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        flags.push(match r.u8()? {
-                            0 => false,
-                            1 => true,
-                            b => return Err(r.err(format!("bad boolean {b}"))),
-                        });
-                    }
-                    ResponseBody::Consistency(flags)
+                    ResponseBody::Consistency(read_list(&mut r, read_bool)?)
                 }
-                OpCode::CanonicalSolution => {
-                    let n = r.u16()? as usize;
-                    let mut results = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        results.push(read_doc_result(&mut r, |r| read_doc(r, codec))?);
-                    }
-                    ResponseBody::Solutions(results)
-                }
-                OpCode::CertainAnswers => {
-                    let n = r.u16()? as usize;
-                    let mut results = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        results.push(read_doc_result(&mut r, |r| {
-                            let count = r.u32()? as usize;
-                            let mut tuples = Vec::with_capacity(count.min(4096));
-                            for _ in 0..count {
-                                let arity = r.u16()? as usize;
-                                let mut tuple = Vec::with_capacity(arity.min(4096));
-                                for _ in 0..arity {
-                                    tuple.push(r.string()?);
-                                }
-                                tuples.push(tuple);
-                            }
-                            Ok(tuples)
-                        })?);
-                    }
-                    ResponseBody::Answers(results)
-                }
+                OpCode::CanonicalSolution => ResponseBody::Solutions(read_list(&mut r, |r| {
+                    read_doc_result(r, |r| read_doc(r, codec))
+                })?),
+                OpCode::CertainAnswers => ResponseBody::Answers(read_list(&mut r, |r| {
+                    read_doc_result(r, |r| {
+                        let count = r.u32()? as usize;
+                        let mut tuples = Vec::with_capacity(count.min(4096));
+                        for _ in 0..count {
+                            tuples.push(read_list(r, |r| r.string())?);
+                        }
+                        Ok(tuples)
+                    })
+                })?),
                 OpCode::CertainAnswersBoolean => {
-                    let n = r.u16()? as usize;
-                    let mut results = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        results.push(read_doc_result(&mut r, |r| match r.u8()? {
-                            0 => Ok(false),
-                            1 => Ok(true),
-                            b => Err(r.err(format!("bad boolean {b}"))),
-                        })?);
-                    }
-                    ResponseBody::Booleans(results)
+                    ResponseBody::Booleans(read_list(&mut r, |r| read_doc_result(r, read_bool))?)
                 }
                 OpCode::PutDoc => ResponseBody::PutDocOk { version: r.u64()? },
                 OpCode::GetDoc => ResponseBody::GetDocOk {
@@ -1471,63 +1466,23 @@ pub fn decode_response(payload: &[u8], codec: Codec) -> Result<ResponseFrame, De
                     content_hash: r.u64()?,
                     reused: read_bool(&mut r)?,
                 },
-                OpCode::ListSettings => {
-                    let n = r.u16()? as usize;
-                    let mut entries = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        entries.push(SettingEntry {
+                OpCode::ListSettings => ResponseBody::SettingList {
+                    entries: read_list(&mut r, |r| {
+                        Ok(SettingEntry {
                             bind_id: r.u64()?,
                             content_hash: r.u64()?,
-                            compiled: read_bool(&mut r)?,
+                            compiled: read_bool(r)?,
                             cost: r.u64()?,
-                        });
-                    }
-                    ResponseBody::SettingList { entries }
-                }
+                        })
+                    })?,
+                },
                 OpCode::EvictSetting => ResponseBody::EvictSettingOk {
                     dropped: read_bool(&mut r)?,
                 },
-                OpCode::Stats => {
-                    let n = r.u16()? as usize;
-                    let mut counters = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        counters.push((r.string()?, r.u64()?));
-                    }
-                    // A histogram section is present exactly when bytes
-                    // remain (v2 servers omit it entirely on v4
-                    // connections, so presence is unambiguous).
-                    let mut histograms = Vec::new();
-                    if r.has_remaining() {
-                        let n = r.u16()? as usize;
-                        histograms.reserve(n.min(4096));
-                        for _ in 0..n {
-                            let name = r.string()?;
-                            let unit = r.u8()?;
-                            let count = r.u64()?;
-                            let sum = r.u64()?;
-                            let min = r.u64()?;
-                            let max = r.u64()?;
-                            let nb = r.u8()? as usize;
-                            let mut buckets = Vec::with_capacity(nb);
-                            for _ in 0..nb {
-                                buckets.push((r.u8()?, r.u64()?));
-                            }
-                            histograms.push(StatsHistogram {
-                                name,
-                                unit,
-                                count,
-                                sum,
-                                min,
-                                max,
-                                buckets,
-                            });
-                        }
-                    }
-                    ResponseBody::StatsOk {
-                        counters,
-                        histograms,
-                    }
-                }
+                OpCode::Stats => ResponseBody::StatsOk {
+                    counters: read_list(&mut r, |r| Ok((r.string()?, r.u64()?)))?,
+                    histograms: read_list(&mut r, read_histogram)?,
+                },
                 // Stored query ops answer with the *base* op's response
                 // (that is their byte-for-byte parity contract), so their
                 // own codes never appear in a well-formed response.
@@ -1841,8 +1796,8 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         for req in sample_requests() {
-            let bytes = encode_request(&req, false);
-            let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text, false).unwrap();
+            let bytes = encode_request(&req);
+            let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text).unwrap();
             assert_eq!(req, back);
         }
     }
@@ -1867,8 +1822,8 @@ mod tests {
                 docs: vec![doc.clone(), WireDoc::Binary(vec![0xde, 0xad])],
             },
         };
-        let bytes = encode_request(&req, false);
-        let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Binary, false).unwrap();
+        let bytes = encode_request(&req);
+        let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Binary).unwrap();
         assert_eq!(req, back);
         // The valid frame parses; the garbage one reports BinaryDoc.
         assert!(doc.to_tree().is_ok());
@@ -1894,8 +1849,8 @@ mod tests {
             setting_id: 0,
             body: RequestBody::CheckConsistency { docs: vec![doc] },
         };
-        let bytes = encode_request(&req, false);
-        match decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text, false) {
+        let bytes = encode_request(&req);
+        match decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text) {
             Ok(back) => {
                 // Framing is codec-independent, so it may decode as a
                 // text doc — which must then fail to parse as a tree.
@@ -1924,9 +1879,9 @@ mod tests {
     fn truncations_of_valid_payloads_never_panic() {
         for codec in [Codec::Text, Codec::Binary] {
             for req in sample_requests() {
-                let bytes = encode_request(&req, false);
+                let bytes = encode_request(&req);
                 for cut in 0..bytes.len() {
-                    let _ = decode_request(&bytes[..cut], MAX_DOCS_PER_REQUEST, codec, false);
+                    let _ = decode_request(&bytes[..cut], MAX_DOCS_PER_REQUEST, codec);
                 }
             }
             for resp in sample_responses() {
@@ -1941,9 +1896,9 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         for req in sample_requests() {
-            let mut bytes = encode_request(&req, false);
+            let mut bytes = encode_request(&req);
             bytes.push(0);
-            let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text, false).unwrap_err();
+            let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text).unwrap_err();
             assert_eq!(err.error.code, ErrorCode::MalformedFrame);
             assert_eq!(err.id, req.id, "the id must still be echoed");
         }
@@ -1957,15 +1912,16 @@ mod tests {
             body: RequestBody::Ping,
         };
         let mut buf = vec![0u8; 4];
-        encode_request_into(&req, false, &mut buf);
-        assert_eq!(&buf[4..], encode_request(&req, false).as_slice());
+        encode_request_into(&req, &mut buf);
+        assert_eq!(&buf[4..], encode_request(&req).as_slice());
     }
 
     #[test]
     fn unknown_ops_and_doc_limits_carry_codes() {
         let mut bytes = vec![99u8];
         bytes.extend_from_slice(&42u64.to_be_bytes());
-        let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text, false).unwrap_err();
+        bytes.extend_from_slice(&0u64.to_be_bytes()); // setting id
+        let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text).unwrap_err();
         assert_eq!(err.error.code, ErrorCode::UnknownOp);
         assert_eq!(err.id, 42);
 
@@ -1976,8 +1932,8 @@ mod tests {
                 docs: vec![WireDoc::from("db"); 10],
             },
         };
-        let bytes = encode_request(&req, false);
-        let err = decode_request(&bytes, 4, Codec::Text, false).unwrap_err();
+        let bytes = encode_request(&req);
+        let err = decode_request(&bytes, 4, Codec::Text).unwrap_err();
         assert_eq!(err.error.code, ErrorCode::TooManyDocs);
         assert_eq!(err.id, 5);
     }
@@ -1989,9 +1945,10 @@ mod tests {
         for codec in [Codec::Text, Codec::Binary] {
             let mut bytes = vec![OpCode::CertainAnswers as u8];
             bytes.extend_from_slice(&1u64.to_be_bytes());
+            bytes.extend_from_slice(&0u64.to_be_bytes()); // setting id
             bytes.extend_from_slice(&u32::MAX.to_be_bytes());
             bytes.extend_from_slice(b"abc");
-            let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, codec, false).unwrap_err();
+            let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, codec).unwrap_err();
             assert_eq!(err.error.code, ErrorCode::MalformedFrame);
         }
     }
@@ -2043,30 +2000,18 @@ mod tests {
     #[test]
     fn settings_framing_round_trips_every_op() {
         for mut req in sample_requests() {
+            let default = encode_request(&req);
             req.setting_id = 0x0102_0304_0506_0708;
-            let bytes = encode_request(&req, true);
-            let legacy = encode_request(&req, false);
-            // The setting id is exactly one u64 after the request id; the
-            // rest of the payload is byte-identical to the legacy layout.
-            assert_eq!(bytes.len(), legacy.len() + 8);
-            assert_eq!(bytes[..9], legacy[..9]);
+            let bytes = encode_request(&req);
+            // The setting id is exactly the u64 after the request id; the
+            // rest of the payload does not depend on it.
+            assert_eq!(bytes.len(), default.len());
+            assert_eq!(bytes[..9], default[..9]);
             assert_eq!(bytes[9..17], 0x0102_0304_0506_0708u64.to_be_bytes());
-            assert_eq!(bytes[17..], legacy[9..]);
-            let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text, true).unwrap();
+            assert_eq!(bytes[17..], default[17..]);
+            let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text).unwrap();
             assert_eq!(req, back);
         }
-    }
-
-    #[test]
-    fn legacy_framing_ignores_the_setting_field() {
-        // v1/v2 connections never see a setting id: the field is not
-        // encoded, and decoding always yields the default setting.
-        let mut req = RequestFrame::new(4, RequestBody::Ping);
-        let v2 = encode_request(&req, false);
-        req.setting_id = 99;
-        assert_eq!(encode_request(&req, false), v2);
-        let back = decode_request(&v2, MAX_DOCS_PER_REQUEST, Codec::Text, false).unwrap();
-        assert_eq!(back.setting_id, 0);
     }
 
     #[test]
@@ -2074,16 +2019,29 @@ mod tests {
         for codec in [Codec::Text, Codec::Binary] {
             for mut req in sample_requests() {
                 req.setting_id = u64::MAX;
-                let bytes = encode_request(&req, true);
+                let bytes = encode_request(&req);
                 for cut in 0..bytes.len() {
-                    let _ = decode_request(&bytes[..cut], MAX_DOCS_PER_REQUEST, codec, true);
+                    let _ = decode_request(&bytes[..cut], MAX_DOCS_PER_REQUEST, codec);
                 }
                 let mut bytes = bytes;
                 bytes.push(0);
-                let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, codec, true).unwrap_err();
+                let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, codec).unwrap_err();
                 assert_eq!(err.error.code, ErrorCode::MalformedFrame);
                 assert_eq!(err.id, req.id);
             }
+        }
+    }
+
+    #[test]
+    fn streamed_trees_and_wire_docs_share_bytes() {
+        // The server streams solutions with `put_tree`; `encode_response`
+        // writes `WireDoc`s with `put_doc`. Both must give the same bytes.
+        let tree = xdx_xmltree::parse_tree("db[book(@title=\"T\")[author(@name=\"A\")]]").unwrap();
+        for codec in [Codec::Text, Codec::Binary] {
+            let (mut streamed, mut whole) = (Vec::new(), Vec::new());
+            put_tree(&mut streamed, &tree, codec);
+            put_doc(&mut whole, &WireDoc::from_tree(&tree, codec));
+            assert_eq!(streamed, whole, "{codec:?}");
         }
     }
 
@@ -2113,6 +2071,6 @@ mod tests {
         ] {
             assert_eq!(ErrorCode::from_u16(code as u16), Some(code));
         }
-        const { assert!(SUPPORTED_FEATURES & FEATURE_SETTINGS != 0) };
+        const { assert!(SUPPORTED_FEATURES == FEATURE_BINARY_DOCS) };
     }
 }

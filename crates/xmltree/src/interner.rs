@@ -10,6 +10,9 @@
 //! The interner is per-DTD (not global): ids are dense in `0..len`, which is
 //! what lets the compiled transition tables be plain `states × alphabet`
 //! arrays, and dropping a DTD drops its symbol table with it.
+//!
+//! [`ElementType`]: crate::ElementType
+//! [`AttrName`]: crate::AttrName
 
 use std::collections::HashMap;
 use std::fmt;

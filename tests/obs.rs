@@ -94,6 +94,18 @@ fn sparse_roundtrip_is_lossless() {
     assert_eq!(snap, back);
 }
 
+/// Bucket totals from an untrusted peer may sum past `u64::MAX`: the
+/// sparse rebuild and the percentile walk saturate instead of overflowing.
+#[test]
+fn sparse_rebuild_and_percentiles_saturate() {
+    let snap = HistogramSnapshot::from_sparse(u64::MAX, 0, 1, 8, [(3, u64::MAX), (3, 5), (4, 9)]);
+    assert_eq!(snap.buckets[3], u64::MAX);
+    assert_eq!(snap.percentile(100.0), bucket_upper(3));
+    let spread = HistogramSnapshot::from_sparse(u64::MAX, 0, 1, 8, [(1, u64::MAX - 1), (2, 7)]);
+    assert_eq!(spread.p50(), bucket_upper(1));
+    assert_eq!(spread.percentile(100.0), bucket_upper(2));
+}
+
 /// A registry built with out-of-order names must fail loudly at
 /// construction — that is the invariant exporters skip re-checking.
 #[test]

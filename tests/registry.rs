@@ -1,4 +1,4 @@
-//! Integration tests for the v3 multi-tenant setting registry: uploads,
+//! Integration tests for the multi-tenant setting registry: uploads,
 //! content-addressed reuse, per-request setting selection with
 //! byte-for-byte parity against a per-setting `BatchEngine`, eviction that
 //! keeps bindings and stored documents alive, concurrent clients across
@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use xdx_server::wire::ErrorCode;
-use xdx_server::{Client, ClientError, Server, ServerConfig, FEATURE_SETTINGS};
+use xdx_server::{Client, ClientError, Server, ServerConfig};
 use xml_data_exchange::core::settext::{parse_setting, setting_to_text};
 use xml_data_exchange::core::setting::books_to_writers_setting;
 use xml_data_exchange::patterns::{parse_pattern, ConjunctiveTreeQuery, UnionQuery};
@@ -94,11 +94,8 @@ fn with_server(
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn settings_client(addr: std::net::SocketAddr) -> Client {
-    let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
-    let accepted = client.negotiate(FEATURE_SETTINGS).unwrap();
-    assert_ne!(accepted & FEATURE_SETTINGS, 0, "server must accept v3");
-    client
+fn connect(addr: std::net::SocketAddr) -> Client {
+    Client::connect_tcp(&addr.to_string()).unwrap()
 }
 
 fn expect_texts(setting: &DataExchangeSetting, docs: &[XmlTree]) -> Vec<String> {
@@ -111,20 +108,27 @@ fn expect_texts(setting: &DataExchangeSetting, docs: &[XmlTree]) -> Vec<String> 
 }
 
 #[test]
-fn registry_ops_require_feature_negotiation() {
+fn registry_ops_and_setting_ids_work_without_hello() {
     let setting = books_to_writers_setting();
+    let items = item_docs(3);
+    let expect_items = expect_texts(&items_setting(), &items);
     with_server(&setting, ServerConfig::default(), |addr, _| {
-        // A v1 client never sent Hello: registry ops must be rejected, and
-        // exchange ops must keep working exactly as before.
-        let mut legacy = Client::connect_tcp(&addr.to_string()).unwrap();
-        match legacy.put_setting(1, ITEMS_TEXT) {
-            Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::UnknownOp),
-            other => panic!("expected UnknownOp for a v1 registry op, got {other:?}"),
-        }
-        legacy.ping().unwrap();
+        // A fresh connection that never sends Hello uploads a setting and
+        // addresses it: the setting id is on every request, so it gets the
+        // uploaded setting's solutions — never silently setting 0's.
+        let mut fresh = Client::connect_tcp(&addr.to_string()).unwrap();
+        fresh.put_setting(1, ITEMS_TEXT).unwrap();
+        fresh.set_setting(1);
+        let got: Vec<String> = fresh
+            .canonical_solution_texts(&items)
+            .unwrap()
+            .into_iter()
+            .map(|r| r.expect("consistent doc"))
+            .collect();
+        assert_eq!(got, expect_items);
 
         // Addressing an unbound setting id fails with a structured code.
-        let mut client = settings_client(addr);
+        let mut client = connect(addr);
         client.set_setting(7);
         match client.canonical_solution_texts(&book_docs(1)) {
             Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::UnknownSetting),
@@ -144,7 +148,7 @@ fn registry_ops_require_feature_negotiation() {
 fn identical_text_reuploads_share_one_compiled_artifact() {
     let setting = books_to_writers_setting();
     with_server(&setting, ServerConfig::default(), |addr, _| {
-        let mut client = settings_client(addr);
+        let mut client = connect(addr);
 
         let (hash_a, reused_a) = client.put_setting(1, ITEMS_TEXT).unwrap();
         assert!(!reused_a, "first upload compiles");
@@ -191,7 +195,7 @@ fn concurrent_clients_on_distinct_settings_match_their_engines() {
         ..ServerConfig::default()
     };
     with_server(&setting, config, |addr, _| {
-        settings_client(addr).put_setting(1, ITEMS_TEXT).unwrap();
+        connect(addr).put_setting(1, ITEMS_TEXT).unwrap();
         std::thread::scope(|scope| {
             // Clients alternate between the default books setting and the
             // uploaded items setting while a churn thread keeps evicting
@@ -201,7 +205,7 @@ fn concurrent_clients_on_distinct_settings_match_their_engines() {
                 let (expect_books, expect_items) = (&expect_books, &expect_items);
                 let (query, expect_tuples) = (&query, &expect_tuples);
                 scope.spawn(move || {
-                    let mut client = settings_client(addr);
+                    let mut client = connect(addr);
                     for round in 0..8 {
                         if (t + round) % 2 == 0 {
                             client.set_setting(0);
@@ -233,7 +237,7 @@ fn concurrent_clients_on_distinct_settings_match_their_engines() {
                 });
             }
             scope.spawn(move || {
-                let mut churn = settings_client(addr);
+                let mut churn = connect(addr);
                 for _ in 0..8 {
                     let _ = churn.evict_setting(1).unwrap();
                     let (_, _) = churn.put_setting(1, ITEMS_TEXT).unwrap();
@@ -259,7 +263,7 @@ fn eviction_keeps_stored_documents_and_recompiles_on_demand() {
     let items = item_docs(3);
     let expect_items = expect_texts(&items_setting(), &items);
     with_server(&setting, config, |addr, _| {
-        let mut client = settings_client(addr);
+        let mut client = connect(addr);
         client.put_setting(1, ITEMS_TEXT).unwrap();
         client.set_setting(1);
         // Versions come from the store-wide mutation sequence, so the

@@ -107,7 +107,7 @@ fn random_request(rng: &mut TestRng, codec: Codec) -> RequestFrame {
     };
     RequestFrame {
         id,
-        setting_id: 0,
+        setting_id: rng.next_u64(),
         body,
     }
 }
@@ -187,8 +187,8 @@ proptest! {
         let mut rng = TestRng::new(seed);
         let codec = random_codec(&mut rng);
         let req = random_request(&mut rng, codec);
-        let bytes = encode_request(&req, false);
-        let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, codec, false);
+        let bytes = encode_request(&req);
+        let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, codec);
         prop_assert_eq!(Ok(req), back);
     }
 
@@ -207,7 +207,7 @@ proptest! {
         let mut rng = TestRng::new(seed);
         let codec = random_codec(&mut rng);
         let bytes = if seed % 2 == 0 {
-            encode_request(&random_request(&mut rng, codec), false)
+            encode_request(&random_request(&mut rng, codec))
         } else {
             encode_response(&random_response(&mut rng, codec))
         };
@@ -216,7 +216,7 @@ proptest! {
         if !bytes.is_empty() {
             let cut = (rng.next_u64() as usize) % bytes.len();
             for codec in [Codec::Text, Codec::Binary] {
-                let _ = decode_request(&bytes[..cut], MAX_DOCS_PER_REQUEST, codec, false);
+                let _ = decode_request(&bytes[..cut], MAX_DOCS_PER_REQUEST, codec);
                 let _ = decode_response(&bytes[..cut], codec);
             }
         }
@@ -226,13 +226,13 @@ proptest! {
             let at = (rng.next_u64() as usize) % corrupted.len();
             corrupted[at] ^= 1 << (rng.next_u64() % 8);
             for codec in [Codec::Text, Codec::Binary] {
-                let _ = decode_request(&corrupted, MAX_DOCS_PER_REQUEST, codec, false);
+                let _ = decode_request(&corrupted, MAX_DOCS_PER_REQUEST, codec);
                 let _ = decode_response(&corrupted, codec);
             }
         }
         // A decoded-then-re-encoded frame is stable (when it decodes).
-        if let Ok(req) = decode_request(&corrupted, MAX_DOCS_PER_REQUEST, codec, false) {
-            prop_assert_eq!(encode_request(&req, false).len(), corrupted.len());
+        if let Ok(req) = decode_request(&corrupted, MAX_DOCS_PER_REQUEST, codec) {
+            prop_assert_eq!(encode_request(&req).len(), corrupted.len());
         }
     }
 
@@ -242,7 +242,7 @@ proptest! {
         let len = (rng.next_u64() % 64) as usize;
         let garbage: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         for codec in [Codec::Text, Codec::Binary] {
-            let _ = decode_request(&garbage, MAX_DOCS_PER_REQUEST, codec, false);
+            let _ = decode_request(&garbage, MAX_DOCS_PER_REQUEST, codec);
             let _ = decode_response(&garbage, codec);
         }
     }
@@ -282,12 +282,10 @@ proptest! {
     }
 }
 
-/// The v4 `StatsOk` encoding is pinned byte for byte: a server that did
-/// not negotiate `FEATURE_STATS_V2` (empty histogram vec) must produce
-/// exactly the hand-assembled pre-v5 frame — the histogram section is
-/// absent, not present-but-empty.
+/// The `StatsOk` encoding is pinned byte for byte: the counter rows, then
+/// the histogram section — always present, here with 0 rows.
 #[test]
-fn stats_v4_bytes_pinned() {
+fn stats_bytes_pinned() {
     let counters = vec![
         ("server.accepted_conns".to_string(), 3u64),
         ("server.uptime_secs".to_string(), 17u64),
@@ -299,8 +297,8 @@ fn stats_v4_bytes_pinned() {
             histograms: vec![],
         },
     };
-    // [status][id][op][u16 n][(u32 len + name + u64 value)*] — the exact
-    // layout PROTOCOL.md fixed for protocol v4.
+    // [status][id][op][u16 n][(u32 len + name + u64 value)*][u16 0] — the
+    // layout PROTOCOL.md fixes.
     let mut expect = vec![0u8]; // STATUS_OK
     expect.extend_from_slice(&0xDEAD_BEEF_0042u64.to_be_bytes());
     expect.push(17); // OpCode::Stats
@@ -310,12 +308,16 @@ fn stats_v4_bytes_pinned() {
         expect.extend_from_slice(name.as_bytes());
         expect.extend_from_slice(&value.to_be_bytes());
     }
-    assert_eq!(encode_response(&resp), expect, "v4 StatsOk bytes changed");
-    // And those bytes decode back with no histogram rows.
+    expect.extend_from_slice(&0u16.to_be_bytes()); // no histogram rows
+    assert_eq!(encode_response(&resp), expect, "StatsOk bytes changed");
     assert_eq!(Ok(resp), decode_response(&expect, Codec::Text));
+    // The section is required: the counters alone are a truncated frame.
+    let short = &expect[..expect.len() - 2];
+    let err = decode_response(short, Codec::Text).unwrap_err();
+    assert_eq!(err.error.code, ErrorCode::MalformedFrame);
 }
 
-/// Stats-v2 histogram rows survive an encode/decode round trip, including
+/// Stats histogram rows survive an encode/decode round trip, including
 /// empty histograms and rows with multiple sparse buckets.
 #[test]
 fn stats_v2_histogram_rows_round_trip() {
@@ -348,4 +350,62 @@ fn stats_v2_histogram_rows_round_trip() {
     };
     let bytes = encode_response(&resp);
     assert_eq!(Ok(resp), decode_response(&bytes, Codec::Text));
+}
+
+/// A hostile histogram row — a repeated bucket index whose counts sum past
+/// `u64::MAX`, or an index past the last bucket — is a decode error, not a
+/// panic in the client's percentile math.
+#[test]
+fn hostile_stats_histogram_rows_are_rejected() {
+    use xdx_server::wire::StatsHistogram;
+    use xdx_server::StatsSnapshot;
+    let row = |buckets: Vec<(u8, u64)>| ResponseFrame {
+        id: 5,
+        body: ResponseBody::StatsOk {
+            counters: vec![],
+            histograms: vec![StatsHistogram {
+                name: "req.solution.s0.total".to_string(),
+                unit: 0,
+                count: u64::MAX,
+                sum: 0,
+                min: 1,
+                max: 9,
+                buckets,
+            }],
+        },
+    };
+    for buckets in [
+        vec![(3, u64::MAX), (3, u64::MAX)],
+        vec![(4, 1), (3, 1)],
+        vec![(64, 1)],
+        vec![(255, u64::MAX)],
+    ] {
+        let bytes = encode_response(&row(buckets.clone()));
+        let err = decode_response(&bytes, Codec::Text).unwrap_err();
+        assert_eq!(err.error.code, ErrorCode::MalformedFrame, "{buckets:?}");
+        assert!(
+            err.error.message.contains("bucket"),
+            "{}",
+            err.error.message
+        );
+    }
+    // Ascending indices whose counts still overflow a running sum decode,
+    // and rendering them saturates instead of panicking.
+    let bytes = encode_response(&row(vec![(1, u64::MAX), (63, u64::MAX)]));
+    let Ok(ResponseFrame {
+        body: ResponseBody::StatsOk {
+            counters,
+            histograms,
+        },
+        ..
+    }) = decode_response(&bytes, Codec::Text)
+    else {
+        panic!("ascending buckets must decode");
+    };
+    let shown = StatsSnapshot {
+        counters,
+        histograms,
+    }
+    .to_string();
+    assert!(shown.contains("req.solution.s0.total"));
 }

@@ -37,9 +37,15 @@ fn with_server(
         let control = server.control();
         let handle = scope.spawn(move || server.run());
         // The listeners exist as soon as bind returned; no wait needed.
-        f(addr, &sock);
+        // Shut the server down even when `f` panics: `thread::scope` joins
+        // its threads before propagating the panic, so a still-running
+        // server would turn an assertion failure into a silent hang.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(addr, &sock)));
         control.shutdown();
         handle.join().expect("server thread").expect("clean run");
+        if let Err(panic) = result {
+            std::panic::resume_unwind(panic);
+        }
     });
     assert!(!sock.exists(), "the unix socket file must be removed");
     let _ = std::fs::remove_dir_all(&dir);
@@ -268,8 +274,9 @@ fn malformed_frames_are_rejected_without_crashing() {
             .expect("connection survives a malformed payload");
 
         // 2. Unknown op: structured error with the id echoed.
-        let mut bytes = vec![0, 0, 0, 9, 77];
+        let mut bytes = vec![0, 0, 0, 17, 77];
         bytes.extend_from_slice(&123u64.to_be_bytes());
+        bytes.extend_from_slice(&0u64.to_be_bytes()); // setting id
         client.send_raw(&bytes).unwrap();
         let resp = client.recv().unwrap();
         assert_eq!(resp.id, 123);
@@ -370,7 +377,6 @@ fn saturation_yields_busy_not_unbounded_queueing() {
                         docs: vec![tree_to_text(&doc).into()],
                     },
                 },
-                false,
             ));
             bytes.extend_from_slice(&frame);
             ids.push(1000 + i);
@@ -512,10 +518,9 @@ fn pipelined_responses_are_correlated_by_id() {
 #[test]
 fn both_codecs_yield_identical_results_and_mixed_clients_coexist() {
     // Byte-for-byte parity with the local BatchEngine under *both* document
-    // codecs, exercised by three concurrent connections in different
-    // protocol modes against one server: a v1 client that never negotiates,
-    // a client that sends Hello but declines every feature, and a full v2
-    // binary+chunked client.
+    // codecs, exercised by two concurrent connections against one server: a
+    // text client that never sends Hello (over the Unix socket) and a
+    // binary client (over TCP).
     let setting = books_to_writers_setting();
     let engine = BatchEngine::new(&setting).parallelism(2);
     let docs = sources(6);
@@ -534,28 +539,20 @@ fn both_codecs_yield_identical_results_and_mixed_clients_coexist() {
 
     with_server(&setting, ServerConfig::default(), |addr, sock| {
         std::thread::scope(|scope| {
-            for mode in ["v1", "hello-no-features", "binary"] {
+            for mode in ["text", "binary"] {
                 let (docs, query) = (&docs, &query);
                 let (expect_solutions, expect_answers, expect_consistent) =
                     (&expect_solutions, &expect_answers, &expect_consistent);
                 let addr = addr.to_string();
                 scope.spawn(move || {
-                    let mut client = if mode == "v1" {
+                    let mut client = if mode == "text" {
                         Client::connect_unix(sock).unwrap()
                     } else {
-                        Client::connect_tcp(&addr).unwrap()
+                        let mut client = Client::connect_tcp(&addr).unwrap();
+                        client.use_binary().unwrap();
+                        assert_eq!(client.codec(), xdx_server::Codec::Binary);
+                        client
                     };
-                    match mode {
-                        "v1" => {}
-                        "hello-no-features" => {
-                            assert_eq!(client.negotiate(0).unwrap(), 0);
-                            assert_eq!(client.codec(), xdx_server::Codec::Text);
-                        }
-                        _ => {
-                            client.use_binary().unwrap();
-                            assert_eq!(client.codec(), xdx_server::Codec::Binary);
-                        }
-                    }
                     for _ in 0..3 {
                         assert_eq!(&client.check_consistency(docs).unwrap(), expect_consistent);
                         let solutions = client.canonical_solution_texts(docs).unwrap();
@@ -600,10 +597,10 @@ fn negotiating_features_twice_keeps_responses_well_formed() {
 #[test]
 fn large_responses_stream_in_segments_without_stalling_other_connections() {
     // With a deliberately tiny chunk limit, a response much larger than one
-    // chunk must arrive as ≥ 2 `STATUS_OK_PARTIAL` + final frames on a
-    // chunk-negotiated connection — while a second connection keeps getting
-    // answers between the chunks (nothing is head-of-line blocked), and a
-    // v1 connection still receives single whole frames.
+    // chunk must arrive as ≥ 2 `STATUS_OK_PARTIAL` + final frames — under
+    // either codec — while a second connection keeps getting answers
+    // between the chunks (nothing is head-of-line blocked), and a response
+    // that fits one chunk stays a single frame.
     let setting = books_to_writers_setting();
     let big = sources(40).pop().unwrap(); // ~30 KB of response text
     let config = ServerConfig {
@@ -652,11 +649,14 @@ fn large_responses_stream_in_segments_without_stalling_other_connections() {
             chunked.last_response_chunk_count()
         );
 
-        // The v1 connection, on the same server, still gets whole frames.
+        // The text connection, which never sent Hello, streams too; its
+        // small responses stay whole frames.
         let texts = other
             .canonical_solution_texts(std::slice::from_ref(&big))
             .unwrap();
         assert_eq!(texts[0].as_ref().unwrap(), &expect);
+        assert!(other.last_response_chunk_count() >= 2);
+        other.ping().unwrap();
         assert_eq!(other.last_response_chunk_count(), 1);
     });
 }
@@ -1046,7 +1046,7 @@ fn stored_queries_match_ship_the_document_ops_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Acceptance: the Stats-v2 phase histograms account for (nearly) all of a
+/// Acceptance: the `Stats` phase histograms account for (nearly) all of a
 /// measured request's wall time. Every nanosecond between frame decode on
 /// the event loop and the response's last byte leaving the socket is
 /// charged to *some* phase, so the per-phase sums must cover at least 90%
@@ -1055,13 +1055,8 @@ fn stored_queries_match_ship_the_document_ops_byte_for_byte() {
 fn stats_v2_phase_histograms_cover_request_wall_time() {
     let setting = books_to_writers_setting();
     with_server(&setting, ServerConfig::default(), |addr, _sock| {
+        // No Hello: every connection gets the histogram section.
         let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
-        let accepted = client.negotiate(xdx_server::FEATURE_STATS_V2).unwrap();
-        assert_ne!(
-            accepted & xdx_server::FEATURE_STATS_V2,
-            0,
-            "server must accept FEATURE_STATS_V2"
-        );
         let docs = sources(4);
         let requests = 8u64;
         for _ in 0..requests {
@@ -1083,16 +1078,8 @@ fn stats_v2_phase_histograms_cover_request_wall_time() {
             "phase sums ({phase_sum}ns) must cover >= 90% of wall time ({}ns)",
             total.sum
         );
-        // The v4 counters ride along unchanged, via the typed accessor.
+        // The counters ride along, via the typed accessor.
         assert!(stats.counter("server.accepted_conns").unwrap() >= 1);
         assert_eq!(stats.counter("server.slow_requests"), Some(0));
-        // A plain-v4 connection to the same server sees no histogram rows.
-        let mut plain = Client::connect_tcp(&addr.to_string()).unwrap();
-        let v4 = plain.stats().unwrap();
-        assert!(
-            v4.histograms.is_empty(),
-            "histograms must not leak to non-negotiated connections"
-        );
-        assert!(!v4.counters.is_empty());
     });
 }

@@ -56,7 +56,6 @@ fn ping_frame() -> Vec<u8> {
             setting_id: 0,
             body: RequestBody::Ping,
         },
-        false,
         &mut buf,
     );
     let len = (buf.len() - 4) as u32;
