@@ -273,7 +273,7 @@ impl std::ops::Deref for SettingHold<'_> {
 }
 
 // Compile-time audit: the whole compiled layer must stay shareable across
-// threads — `BatchEngine` and any future async server depend on it. If a
+// threads — `BatchEngine` and the server's worker pool depend on it. If a
 // refactor reintroduces `RefCell`/`Rc`/raw-`OnceCell` state anywhere in
 // these types, this function stops compiling.
 #[allow(dead_code)]

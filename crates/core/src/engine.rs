@@ -1,4 +1,4 @@
-//! Parallel batch serving: compile once, fan documents out over threads.
+//! Parallel batches: compile once, fan documents out over threads.
 //!
 //! Data-exchange workloads are naturally batch-shaped — many source trees
 //! checked, chased and queried against one fixed setting. The compiled layer
@@ -17,9 +17,12 @@
 //!   batch APIs are deterministic drop-in replacements for a sequential
 //!   `iter().map(...)` over the same slice.
 //!
-//! The engine is synchronous by design: it is the substrate the ROADMAP's
-//! async-serving step will sit on (an async front-end only needs to hand
-//! batches — or single documents — to a long-lived `BatchEngine`).
+//! `BatchEngine` is the library's batch API and the oracle the serving
+//! tests and the repository benchmark check served answers against. The
+//! server does not use it: its workers call the same per-document
+//! [`CompiledSetting`] methods directly, each with its own warm
+//! [`ExchangeScratch`], so the server's worker pool is the only set of
+//! threads that computes there.
 
 use crate::certain::CertainAnswers;
 use crate::compiled::{CompiledSetting, ExchangeScratch};
@@ -30,15 +33,6 @@ use xdx_patterns::plan::QueryPlan;
 use xdx_patterns::query::UnionQuery;
 use xdx_xmltree::XmlTree;
 
-/// Default worker count: the machine's available parallelism, probed once
-/// at engine construction (never again on the request path — serving
-/// decisions gate on [`BatchEngine::configured_parallelism`] alone).
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// A compiled setting plus a thread pool configuration; see the module docs.
 ///
 /// Build one per setting with [`BatchEngine::new`], tune the worker count
@@ -46,6 +40,7 @@ fn default_parallelism() -> usize {
 /// often as needed — all per-setting caches (repair contexts, consistency
 /// plans, solvers) warm up once and are shared by every worker of every
 /// batch.
+#[derive(Debug)]
 pub struct BatchEngine<'s> {
     compiled: CompiledSetting<'s>,
     parallelism: usize,
@@ -57,17 +52,7 @@ impl<'s> BatchEngine<'s> {
     pub fn new(setting: &'s DataExchangeSetting) -> Self {
         BatchEngine {
             compiled: CompiledSetting::new(setting),
-            parallelism: default_parallelism(),
-        }
-    }
-
-    /// As [`BatchEngine::new`], but owning the setting behind an `Arc` —
-    /// the engine is `'static` and can live in a registry of settings
-    /// uploaded at runtime (see [`CompiledSetting::new_owned`]).
-    pub fn new_owned(setting: std::sync::Arc<DataExchangeSetting>) -> BatchEngine<'static> {
-        BatchEngine {
-            compiled: CompiledSetting::new_owned(setting),
-            parallelism: default_parallelism(),
+            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -112,51 +97,6 @@ impl<'s> BatchEngine<'s> {
         self.run(trees, |scratch, tree| {
             self.compiled.canonical_solution_with(tree, scratch)
         })
-    }
-
-    /// The canonical solution of every source tree, delivered to `sink` as
-    /// each finishes (completion order, tagged with the input index) rather
-    /// than collected into a batch vector. This is the segment-friendly
-    /// form the serving layer's chunked response path wants: the consumer
-    /// can serialize and release each solution immediately, so peak memory
-    /// is the handful of solutions in flight — not the whole batch. With
-    /// `parallelism(1)` the sink is called in input order on the calling
-    /// thread; otherwise results cross a channel and arrive unordered.
-    pub fn canonical_solutions_for_each<F>(&self, trees: &[XmlTree], mut sink: F)
-    where
-        F: FnMut(usize, Result<XmlTree, SolutionError>),
-    {
-        let workers = self.parallelism.min(trees.len());
-        if workers <= 1 {
-            let mut scratch = ExchangeScratch::new();
-            for (i, tree) in trees.iter().enumerate() {
-                sink(i, self.compiled.canonical_solution_with(tree, &mut scratch));
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || {
-                    let mut scratch = ExchangeScratch::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(tree) = trees.get(i) else { break };
-                        let result = self.compiled.canonical_solution_with(tree, &mut scratch);
-                        if tx.send((i, result)).is_err() {
-                            break; // receiver gone: the scope is unwinding
-                        }
-                    }
-                });
-            }
-            drop(tx); // workers hold the only senders left
-            for (i, result) in rx {
-                sink(i, result);
-            }
-        });
     }
 
     /// The certain answers of `query` for every source tree, in input order
@@ -223,15 +163,6 @@ impl<'s> BatchEngine<'s> {
             .into_iter()
             .map(|slot| slot.expect("every input index was claimed by exactly one worker"))
             .collect()
-    }
-}
-
-impl std::fmt::Debug for BatchEngine<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchEngine")
-            .field("parallelism", &self.parallelism)
-            .field("compiled", &self.compiled)
-            .finish()
     }
 }
 
@@ -367,30 +298,6 @@ mod tests {
         for (tree, result) in trees.iter().zip(got) {
             let want = canonical_solution_reference(&setting, tree).unwrap();
             assert!(result.unwrap().unordered_eq(&want));
-        }
-    }
-
-    #[test]
-    fn for_each_delivery_matches_the_batch_form() {
-        let setting = books_to_writers_setting();
-        let trees = sources(9);
-        let reference = BatchEngine::new(&setting).parallelism(1);
-        let expected = reference.canonical_solutions_batch(&trees);
-        for p in [1, 4] {
-            let engine = BatchEngine::new(&setting).parallelism(p);
-            let mut seen: Vec<Option<XmlTree>> = vec![None; trees.len()];
-            engine.canonical_solutions_for_each(&trees, |i, result| {
-                assert!(seen[i].is_none(), "index {i} delivered twice");
-                seen[i] = Some(result.unwrap());
-            });
-            for (i, (got, want)) in seen.iter().zip(&expected).enumerate() {
-                let got = got.as_ref().expect("every index delivered");
-                assert_eq!(
-                    got.size(),
-                    want.as_ref().unwrap().size(),
-                    "solution {i} at parallelism {p}"
-                );
-            }
         }
     }
 

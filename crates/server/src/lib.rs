@@ -32,10 +32,12 @@
 //! non-blocking event loop** on raw `epoll` ([`sys`]) owns every socket and
 //! enforces backpressure (bounded per-connection pipelining, a global
 //! in-flight budget, `Busy` frames when saturated), while a **worker pool**
-//! sharing one [`xdx_core::CompiledSetting`] — the same substrate
-//! [`xdx_core::BatchEngine`] batches over — parses documents, runs the
-//! exchange pipeline with per-worker scratch reuse, and hands encoded
-//! frames back through a completion queue and a wake pipe.
+//! sharing each addressed [`xdx_core::CompiledSetting`] parses documents,
+//! runs the exchange pipeline and hands encoded frames back through a
+//! completion queue and a wake pipe. The pool is the only set of threads
+//! that computes: a request runs all its documents, shipped or stored, on
+//! the one worker that took it, through one per-document path with that
+//! worker's warm scratch.
 //!
 //! The container this workspace builds in has no crates.io access, so
 //! there is no `tokio`/`mio`/`libc` here: [`sys`] declares the three

@@ -2,7 +2,7 @@
 //!
 //! A **binding** maps a client-visible setting id to uploaded setting
 //! *text* (the `xdx_core::settext` syntax). Compiled artifacts live in a
-//! separate **content-addressed cache**: one compiled engine per distinct
+//! separate **content-addressed cache**: one compiled setting per distinct
 //! canonical text, keyed by its FNV-1a hash, shared by every binding with
 //! identical text — re-uploading the same setting under ten ids compiles
 //! once.
@@ -19,8 +19,8 @@
 //!
 //! Binding id 0 is the setting the server was started with. It is pinned:
 //! its artifact is never evicted and `put`/`evict` of id 0 are rejected,
-//! so requests addressing setting 0 can never lose their engine or have
-//! its semantics swapped under them.
+//! so requests addressing setting 0 can never lose their compiled setting
+//! or have its semantics swapped under them.
 //!
 //! Workers hold the registry behind one mutex, but **never compile under
 //! it**: a resolve miss clones the text out, compiles unlocked, and
@@ -31,7 +31,7 @@ use crate::wire::{self, SettingEntry, WireError};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use xdx_core::engine::BatchEngine;
+use xdx_core::compiled::CompiledSetting;
 use xdx_core::settext::parse_setting;
 
 /// The pinned binding id of the setting the server was started with.
@@ -60,7 +60,7 @@ struct Binding {
 
 /// One resident compiled artifact, shared by content hash.
 struct Compiled {
-    engine: Arc<BatchEngine<'static>>,
+    setting: Arc<CompiledSetting<'static>>,
     cost: u64,
     last_used: u64,
 }
@@ -76,10 +76,6 @@ struct Inner {
 /// The server's setting registry. See the module docs for the model.
 pub(crate) struct Registry {
     inner: Mutex<Inner>,
-    /// Worker parallelism applied to every compiled engine (matches the
-    /// default engine, so per-request fan-out behaves identically across
-    /// settings).
-    parallelism: usize,
     max_settings: usize,
     max_compiled_cost: u64,
     /// Resolves answered by a resident artifact (`Stats` wire op).
@@ -100,12 +96,11 @@ pub(crate) struct PutOutcome {
 }
 
 impl Registry {
-    /// Build the registry around the default setting's already-compiled
-    /// engine. `default_text` must be the canonical text of that setting.
+    /// Build the registry around the default setting, already compiled.
+    /// `default_text` must be the canonical text of that setting.
     pub(crate) fn new(
-        default_engine: BatchEngine<'static>,
+        default_setting: CompiledSetting<'static>,
         default_text: String,
-        parallelism: usize,
         max_settings: usize,
         max_compiled_cost: u64,
     ) -> Registry {
@@ -123,7 +118,7 @@ impl Registry {
         compiled.insert(
             hash,
             Compiled {
-                engine: Arc::new(default_engine),
+                setting: Arc::new(default_setting),
                 cost,
                 last_used: 0,
             },
@@ -135,7 +130,6 @@ impl Registry {
                 total_cost: cost,
                 tick: 0,
             }),
-            parallelism,
             max_settings,
             max_compiled_cost,
             artifact_hits: AtomicU64::new(0),
@@ -182,14 +176,7 @@ impl Registry {
         {
             let mut inner = self.inner.lock().expect("registry poisoned");
             self.check_binding_count(&inner, bind_id)?;
-            if inner.compiled.contains_key(&hash) {
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner
-                    .compiled
-                    .get_mut(&hash)
-                    .expect("checked resident")
-                    .last_used = tick;
+            if Self::touch(&mut inner, hash).is_some() {
                 let rebound = Self::bind(&mut inner, bind_id, hash, &canonical);
                 return Ok(PutOutcome {
                     content_hash: hash,
@@ -200,12 +187,12 @@ impl Registry {
         }
         // Miss: compile unlocked, then insert (a racing identical upload
         // may have beaten us — its artifact wins, ours is dropped).
-        let engine = self.compile(setting);
+        let compiled = Arc::new(CompiledSetting::new_owned(Arc::new(setting)));
         let mut inner = self.inner.lock().expect("registry poisoned");
         self.check_binding_count(&inner, bind_id)?;
         let reused = inner.compiled.contains_key(&hash);
         if !reused {
-            self.insert_compiled(&mut inner, hash, engine, cost);
+            self.insert_compiled(&mut inner, hash, compiled, cost);
         }
         let rebound = Self::bind(&mut inner, bind_id, hash, &canonical);
         Ok(PutOutcome {
@@ -215,9 +202,12 @@ impl Registry {
         })
     }
 
-    /// The engine for `setting_id`, recompiling from retained text if the
-    /// artifact was evicted.
-    pub(crate) fn resolve(&self, setting_id: u64) -> Result<Arc<BatchEngine<'static>>, WireError> {
+    /// The compiled setting for `setting_id`, recompiling from retained
+    /// text if the artifact was evicted.
+    pub(crate) fn resolve(
+        &self,
+        setting_id: u64,
+    ) -> Result<Arc<CompiledSetting<'static>>, WireError> {
         let (hash, text) = {
             let mut inner = self.inner.lock().expect("registry poisoned");
             let binding = inner.bindings.get(&setting_id).ok_or_else(|| {
@@ -227,17 +217,9 @@ impl Registry {
                 )
             })?;
             let (hash, text) = (binding.hash, Arc::clone(&binding.text));
-            if let Some(entry) = inner.compiled.get_mut(&hash) {
-                let engine = Arc::clone(&entry.engine);
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner
-                    .compiled
-                    .get_mut(&hash)
-                    .expect("checked resident")
-                    .last_used = tick;
+            if let Some(compiled) = Self::touch(&mut inner, hash) {
                 self.artifact_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(engine);
+                return Ok(compiled);
             }
             (hash, text)
         };
@@ -251,15 +233,13 @@ impl Registry {
                 format!("retained text for setting {setting_id} no longer compiles: {e}"),
             )
         })?;
-        let engine = self.compile(setting);
+        let compiled = Arc::new(CompiledSetting::new_owned(Arc::new(setting)));
         let mut inner = self.inner.lock().expect("registry poisoned");
         if let Some(entry) = inner.compiled.get(&hash) {
-            return Ok(Arc::clone(&entry.engine)); // racing resolve won
+            return Ok(Arc::clone(&entry.setting)); // racing resolve won
         }
-        let engine = Arc::new(engine);
-        let handle = Arc::clone(&engine);
-        self.insert_compiled_arc(&mut inner, hash, engine, text.len() as u64);
-        Ok(handle)
+        self.insert_compiled(&mut inner, hash, Arc::clone(&compiled), text.len() as u64);
+        Ok(compiled)
     }
 
     /// One row per binding, ascending by binding id.
@@ -305,8 +285,12 @@ impl Registry {
         Ok(Self::remove_compiled(&mut inner, hash))
     }
 
-    fn compile(&self, setting: xdx_core::setting::DataExchangeSetting) -> BatchEngine<'static> {
-        BatchEngine::new_owned(Arc::new(setting)).parallelism(self.parallelism)
+    /// The resident artifact under `hash`, stamped most recently used.
+    fn touch(inner: &mut Inner, hash: u64) -> Option<Arc<CompiledSetting<'static>>> {
+        let entry = inner.compiled.get_mut(&hash)?;
+        inner.tick += 1;
+        entry.last_used = inner.tick;
+        Some(Arc::clone(&entry.setting))
     }
 
     /// Reject a *new* binding beyond the binding cap (rebinding an
@@ -343,17 +327,7 @@ impl Registry {
         &self,
         inner: &mut Inner,
         hash: u64,
-        engine: BatchEngine<'static>,
-        cost: u64,
-    ) {
-        self.insert_compiled_arc(inner, hash, Arc::new(engine), cost);
-    }
-
-    fn insert_compiled_arc(
-        &self,
-        inner: &mut Inner,
-        hash: u64,
-        engine: Arc<BatchEngine<'static>>,
+        setting: Arc<CompiledSetting<'static>>,
         cost: u64,
     ) {
         inner.tick += 1;
@@ -361,7 +335,7 @@ impl Registry {
         inner.compiled.insert(
             hash,
             Compiled {
-                engine,
+                setting,
                 cost,
                 last_used,
             },
@@ -427,8 +401,8 @@ mod tests {
     fn registry(max_settings: usize, max_cost: u64) -> Registry {
         let setting = parse_setting(&text("d")).expect("default parses");
         let canonical = setting_to_text(&setting);
-        let engine = BatchEngine::new_owned(Arc::new(setting));
-        Registry::new(engine, canonical, 1, max_settings, max_cost)
+        let compiled = CompiledSetting::new_owned(Arc::new(setting));
+        Registry::new(compiled, canonical, max_settings, max_cost)
     }
 
     #[test]
@@ -466,8 +440,8 @@ mod tests {
         let row = rows.iter().find(|e| e.bind_id == 1).expect("still listed");
         assert!(!row.compiled);
         // Resolving a cold binding recompiles from the retained text.
-        let engine = r.resolve(1).expect("resolve recompiles");
-        assert_eq!(engine.compiled().setting().stds.len(), 1);
+        let compiled = r.resolve(1).expect("resolve recompiles");
+        assert_eq!(compiled.setting().stds.len(), 1);
         assert!(
             r.list()
                 .iter()

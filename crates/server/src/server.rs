@@ -59,8 +59,8 @@ use crate::registry::Registry;
 use crate::sys::{Epoll, Event, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::transport::Duplex;
 use crate::wire::{
-    self, Codec, DecodeError, DocResult, OpCode, RequestBody, RequestFrame, ResponseBody,
-    ResponseFrame, WireDoc, WireError,
+    self, Codec, DecodeError, OpCode, RequestBody, RequestFrame, ResponseBody, ResponseFrame,
+    WireDoc, WireError,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -72,38 +72,22 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use xdx_core::cache::CacheKey;
-use xdx_core::compiled::ExchangeScratch;
-use xdx_core::engine::BatchEngine;
+use xdx_core::compiled::{CompiledSetting, ExchangeScratch};
 use xdx_core::settext::setting_to_text;
 use xdx_core::setting::DataExchangeSetting;
 use xdx_core::solution::SolutionError;
 use xdx_obs::{Histogram, HistogramSnapshot, MetricRegistry, Trace, Unit};
 use xdx_patterns::parser::parse_query;
 use xdx_patterns::plan::QueryPlan;
+use xdx_patterns::query::UnionQuery;
 use xdx_store::{decode_edits_exact, DocKey, DocStore, StoreConfig, StoreError};
 use xdx_xmltree::binary::ByteSink;
 use xdx_xmltree::XmlTree;
 
-/// What the per-document result cache holds: the *semantic* result of each
-/// op, so a hit streams through exactly the serialization path a fresh
-/// computation would — cached and uncached responses are byte-for-byte
-/// identical under every codec.
-#[derive(Debug, Clone)]
-enum CachedAnswer {
-    /// `CheckConsistencyStored` verdict.
-    Consistency(bool),
-    /// `CanonicalSolutionStored` result.
-    Solution(Result<XmlTree, SolutionError>),
-    /// `CertainAnswersStored` tuples (already in deterministic set order).
-    Answers(Result<Vec<Vec<String>>, SolutionError>),
-    /// `CertainAnswersBooleanStored` result.
-    Boolean(Result<bool, SolutionError>),
-}
-
 /// The server's resident store: documents plus version-tagged cached
-/// answers, serialized behind one mutex (ops hold it only for O(doc)
+/// [`DocAnswer`]s, serialized behind one mutex (ops hold it only for O(doc)
 /// copies and bookkeeping — the chase itself runs unlocked).
-type ServerStore = Mutex<DocStore<CachedAnswer>>;
+type ServerStore = Mutex<DocStore<DocAnswer>>;
 
 /// Server tuning knobs; the defaults suit tests and small deployments.
 #[derive(Debug, Clone)]
@@ -980,11 +964,9 @@ impl Server {
         };
         // The startup setting becomes the registry's pinned binding 0: every
         // request with setting id 0 runs against it.
-        let engine = BatchEngine::new_owned(Arc::new(setting.clone())).parallelism(workers);
         let registry = Arc::new(Registry::new(
-            engine,
+            CompiledSetting::new_owned(Arc::new(setting.clone())),
             setting_to_text(setting),
-            workers,
             config.max_settings,
             config.max_compiled_cost,
         ));
@@ -1146,17 +1128,17 @@ fn worker_loop(
                 registry_op(registry, store, body, writer);
             }
             // `Stats` aggregates server-wide counters — it addresses no
-            // setting, so it never resolves (or compiles) an engine.
+            // setting, so it never resolves (or compiles) one.
             RequestBody::Stats => writer.whole(ResponseBody::StatsOk {
                 counters: collect_stats(stats, registry, store),
                 histograms: collect_histograms(metrics, store),
             }),
             body => {
-                // Resolve the addressed setting's engine: an LRU/cache
+                // Resolve the addressed compiled setting: an LRU/cache
                 // hit is an `Arc` clone; a cold binding recompiles from
                 // its retained text right here, on this worker.
-                let engine = match registry.resolve(setting_id) {
-                    Ok(engine) => engine,
+                let compiled = match registry.resolve(setting_id) {
+                    Ok(compiled) => compiled,
                     Err(e) => {
                         writer.whole(ResponseBody::Error(e));
                         continue;
@@ -1167,7 +1149,7 @@ fn worker_loop(
                 writer.step(PHASE_RESOLVE);
                 scratch.reset_counters();
                 respond(
-                    &engine,
+                    &compiled,
                     store,
                     stats,
                     config.wal_checkpoint_bytes,
@@ -1239,16 +1221,31 @@ fn registry_op(
     }
 }
 
-/// Opportunistic WAL compaction, called by the mutating worker while it
-/// still holds the store lock: once the WAL outgrows the configured
-/// threshold, checkpoint (snapshot + WAL reset) so a long-running server's
-/// log — and the replay the next open pays — stays bounded. Best-effort: a
-/// failed checkpoint leaves the WAL (and thus durability) intact, and the
-/// next mutation simply tries again.
-fn maybe_checkpoint(store: &mut DocStore<CachedAnswer>, wal_checkpoint_bytes: u64) {
-    if store.wal_len() >= wal_checkpoint_bytes {
-        let _ = store.checkpoint();
+/// Apply one store mutation under the lock and answer with `ok` of its
+/// result through `w`. After a successful mutation, while the lock is
+/// still held, the WAL is compacted (snapshot + WAL reset) once it outgrows
+/// `wal_checkpoint_bytes`, so a long-running server's log — and the replay
+/// the next open pays — stays bounded. Best-effort: a failed checkpoint
+/// leaves the WAL (and thus durability) intact, and the next mutation
+/// simply tries again.
+fn mutate<T>(
+    store: &ServerStore,
+    wal_checkpoint_bytes: u64,
+    mut w: ResponseWriter<'_>,
+    apply: impl FnOnce(&mut DocStore<DocAnswer>) -> Result<T, StoreError>,
+    ok: impl FnOnce(T) -> ResponseBody,
+) {
+    let mut s = store.lock().expect("store poisoned");
+    let result = apply(&mut s);
+    if result.is_ok() && s.wal_len() >= wal_checkpoint_bytes {
+        let _ = s.checkpoint();
     }
+    drop(s);
+    w.step(PHASE_STORE);
+    w.whole(match result {
+        Ok(value) => ok(value),
+        Err(e) => ResponseBody::Error(WireError::of_store_error(&e)),
+    });
 }
 
 /// Length prefix (4) + status (1) + request id (8): the bytes every
@@ -1346,7 +1343,15 @@ impl<'w> ResponseWriter<'w> {
             // step and this seal.
             self.step(PHASE_ENCODE);
         }
-        let bytes = std::mem::take(&mut self.seg);
+        // The write queue's cap counts length, so a queued segment must not
+        // hold much more than that: a small one leaves as an exact copy.
+        // (Shrinking the buffer in place, or growing it from the header
+        // alone, measured slower on the repository benchmark.)
+        let bytes = if self.seg.capacity() > 2 * self.seg.len() {
+            self.seg.clone()
+        } else {
+            std::mem::take(&mut self.seg)
+        };
         // Only the final segment carries the trace back: the event loop
         // finalizes it when that segment is fully written to the socket,
         // so the flush phase spans the whole response, not one chunk.
@@ -1419,11 +1424,6 @@ fn parse_docs(docs: &[WireDoc]) -> Result<Vec<XmlTree>, WireError> {
         .collect()
 }
 
-/// A per-document engine result in its wire form.
-fn doc_result<T>(result: Result<T, SolutionError>) -> DocResult<T> {
-    result.map_err(|e| WireError::of_solution_error(&e))
-}
-
 /// A store op arrived but the server mounts no store.
 fn store_disabled() -> WireError {
     WireError::new(
@@ -1445,8 +1445,8 @@ fn stored_answer(
     w: &mut ResponseWriter<'_>,
     doc: DocKey,
     key: CacheKey,
-    compute: impl FnOnce(&XmlTree) -> CachedAnswer,
-) -> Result<CachedAnswer, WireError> {
+    compute: impl FnOnce(&XmlTree) -> DocAnswer,
+) -> Result<DocAnswer, WireError> {
     let (tree, version) = {
         let mut s = store.lock().expect("store poisoned");
         if let Some(hit) = s.result_cache(doc).and_then(|c| c.get(&key).cloned()) {
@@ -1474,12 +1474,168 @@ fn stored_answer(
     Ok(value)
 }
 
-/// Compute one request's response and stream it through `writer`. Runs
-/// entirely on a worker thread: document decoding, query planning (once
-/// per request), and the per-document exchange pipeline on the shared
-/// compiled setting with this worker's scratch. Every per-document
-/// computation is exactly the one [`BatchEngine`]'s `*_batch` methods run,
-/// so responses are byte-for-byte what a local batch call would produce.
+/// One of the paper's per-document questions, asked of every document an
+/// exchange request names. `Q` is what a query op carries on its way to
+/// evaluation: the request's query text, then the parsed query, then the
+/// [`QueryPlan`] that [`DocOp::run`] evaluates.
+enum DocOp<Q = QueryPlan> {
+    /// Is the document a conforming source instance with a solution?
+    Check,
+    /// The Section 6.1 canonical solution.
+    Solve,
+    /// The certain answers of a query.
+    Answers(Q),
+    /// The certain answer of a Boolean query.
+    Boolean(Q),
+}
+
+/// What a [`DocOp`] answers for one document. It is also what the store's
+/// per-document result cache holds, so a hit streams through exactly the
+/// [`put_answer`] a fresh computation would: cached and uncached responses
+/// are byte-for-byte identical under every codec.
+#[derive(Debug, Clone)]
+enum DocAnswer {
+    Consistency(bool),
+    Solution(Result<XmlTree, SolutionError>),
+    /// Certain-answer tuples, in deterministic set order.
+    Answers(Result<Vec<Vec<String>>, SolutionError>),
+    Boolean(Result<bool, SolutionError>),
+}
+
+/// Where an exchange request's documents come from.
+enum DocSource {
+    /// Shipped in the request, in the connection's codec.
+    Shipped(Vec<WireDoc>),
+    /// One document of the resident store, by id.
+    Stored(u64),
+}
+
+/// Split one of the eight exchange requests into its question (a query
+/// op's text still unparsed) and its documents. Any other request comes
+/// back unchanged.
+fn exchange_parts(body: RequestBody) -> Result<(DocOp<String>, DocSource), RequestBody> {
+    use DocSource::{Shipped, Stored};
+    use RequestBody as R;
+    Ok(match body {
+        R::CheckConsistency { docs } => (DocOp::Check, Shipped(docs)),
+        R::CanonicalSolution { docs } => (DocOp::Solve, Shipped(docs)),
+        R::CertainAnswers { query, docs } => (DocOp::Answers(query), Shipped(docs)),
+        R::CertainAnswersBoolean { query, docs } => (DocOp::Boolean(query), Shipped(docs)),
+        R::CheckConsistencyStored { doc_id } => (DocOp::Check, Stored(doc_id)),
+        R::CanonicalSolutionStored { doc_id } => (DocOp::Solve, Stored(doc_id)),
+        R::CertainAnswersStored { query, doc_id } => (DocOp::Answers(query), Stored(doc_id)),
+        R::CertainAnswersBooleanStored { query, doc_id } => (DocOp::Boolean(query), Stored(doc_id)),
+        other => return Err(other),
+    })
+}
+
+impl<Q> DocOp<Q> {
+    /// The op byte a response to this question starts with. A stored op
+    /// answers with its shipped twin's byte, since its response is the
+    /// one-document response of the shipped op.
+    fn wire_op(&self) -> OpCode {
+        match self {
+            DocOp::Check => OpCode::CheckConsistency,
+            DocOp::Solve => OpCode::CanonicalSolution,
+            DocOp::Answers(_) => OpCode::CertainAnswers,
+            DocOp::Boolean(_) => OpCode::CertainAnswersBoolean,
+        }
+    }
+}
+
+impl DocOp<String> {
+    /// Parse the query text, keeping the text for [`DocOp::cache_key`].
+    fn parse(&self) -> Result<DocOp<UnionQuery>, WireError> {
+        let parse = |text: &str| parse_query(text).map_err(|e| WireError::of_query_error(&e));
+        Ok(match self {
+            DocOp::Check => DocOp::Check,
+            DocOp::Solve => DocOp::Solve,
+            DocOp::Answers(text) => DocOp::Answers(parse(text)?),
+            DocOp::Boolean(text) => DocOp::Boolean(parse(text)?),
+        })
+    }
+
+    /// The result-cache key of this question: a query op is keyed by its
+    /// source text, so identical questions share one entry.
+    fn cache_key(self) -> CacheKey {
+        match self {
+            DocOp::Check => CacheKey::Consistency,
+            DocOp::Solve => CacheKey::CanonicalSolution,
+            DocOp::Answers(text) => CacheKey::CertainAnswers(text),
+            DocOp::Boolean(text) => CacheKey::CertainBoolean(text),
+        }
+    }
+}
+
+impl DocOp<UnionQuery> {
+    /// Plan the query against the target DTD, once for all documents.
+    fn plan(&self, compiled: &CompiledSetting<'_>) -> DocOp {
+        let plan = |query| QueryPlan::new(query, compiled.target_dtd());
+        match self {
+            DocOp::Check => DocOp::Check,
+            DocOp::Solve => DocOp::Solve,
+            DocOp::Answers(query) => DocOp::Answers(plan(query)),
+            DocOp::Boolean(query) => DocOp::Boolean(plan(query)),
+        }
+    }
+}
+
+impl DocOp {
+    /// Answer the question for one source document on the shared compiled
+    /// setting, reusing the worker's scratch. These are the per-document
+    /// calls the library's batch API makes, so a response carries exactly
+    /// what a local batch call returns.
+    fn run(
+        &self,
+        compiled: &CompiledSetting<'_>,
+        tree: &XmlTree,
+        scratch: &mut ExchangeScratch,
+    ) -> DocAnswer {
+        match self {
+            DocOp::Check => {
+                DocAnswer::Consistency(compiled.check_instance_consistency_with(tree, scratch))
+            }
+            DocOp::Solve => DocAnswer::Solution(compiled.canonical_solution_with(tree, scratch)),
+            DocOp::Answers(plan) => DocAnswer::Answers(
+                compiled
+                    .certain_answers_planned_with(tree, plan, scratch)
+                    .map(|answers| answers.tuples.into_iter().collect()),
+            ),
+            DocOp::Boolean(plan) => {
+                DocAnswer::Boolean(compiled.certain_boolean_planned_with(tree, plan, scratch))
+            }
+        }
+    }
+}
+
+/// One document's answer in its wire form: a bare `bool` for consistency,
+/// otherwise a per-document `result(X)`.
+fn put_answer(w: &mut impl ByteSink, answer: &DocAnswer, codec: Codec) {
+    let err = WireError::of_solution_error;
+    match answer {
+        DocAnswer::Consistency(consistent) => wire::put_bool(w, *consistent),
+        DocAnswer::Solution(result) => {
+            wire::put_result(w, result.as_ref().map_err(err), |w, tree| {
+                wire::put_tree(w, tree, codec)
+            })
+        }
+        DocAnswer::Answers(result) => {
+            wire::put_result(w, result.as_ref().map_err(err), |w, tuples| {
+                wire::put_tuples(w, tuples)
+            })
+        }
+        DocAnswer::Boolean(result) => wire::put_result(w, result.as_ref().map_err(err), |w, &b| {
+            wire::put_bool(w, b)
+        }),
+    }
+}
+
+/// Compute one request's response and stream it through `w`. Runs entirely
+/// on a worker thread, with that worker's scratch: document decoding, query
+/// planning (once per request) and [`DocOp::run`] per document. The eight
+/// exchange ops take two arms, one for shipped documents and one for a
+/// stored document, which answers the shipped op's one-document response
+/// byte for byte; the rest are the store's document ops.
 ///
 /// Request-level validation (document parsing, query parsing) happens
 /// *before* the first body byte is streamed, so a logical response is
@@ -1487,7 +1643,7 @@ fn stored_answer(
 /// half-written success.
 #[allow(clippy::too_many_arguments)]
 fn respond(
-    engine: &BatchEngine<'_>,
+    compiled: &CompiledSetting<'_>,
     store: Option<&ServerStore>,
     stats: &ServerStats,
     wal_checkpoint_bytes: u64,
@@ -1497,354 +1653,135 @@ fn respond(
     codec: Codec,
     mut w: ResponseWriter<'_>,
 ) {
-    let compiled = engine.compiled();
-    match body {
-        RequestBody::CheckConsistency { docs } => match parse_docs(&docs) {
-            Err(e) => w.whole(ResponseBody::Error(e)),
-            Ok(trees) => {
-                w.step(PHASE_DECODE);
-                wire::put_list_header(&mut w, OpCode::CheckConsistency, trees.len());
-                for t in &trees {
-                    let consistent = compiled.check_instance_consistency_with(t, scratch);
-                    wire::put_bool(&mut w, consistent);
-                }
-                w.step(PHASE_EXEC);
-                w.finish();
+    match exchange_parts(body) {
+        Ok((op, DocSource::Shipped(docs))) => {
+            let op = match op.parse() {
+                Ok(op) => op,
+                Err(e) => return w.whole(ResponseBody::Error(e)),
+            };
+            let trees = match parse_docs(&docs) {
+                Ok(trees) => trees,
+                Err(e) => return w.whole(ResponseBody::Error(e)),
+            };
+            w.step(PHASE_DECODE);
+            let op = op.plan(compiled);
+            if let DocOp::Answers(_) | DocOp::Boolean(_) = op {
+                w.step(PHASE_PLAN);
             }
-        },
-        RequestBody::CanonicalSolution { docs } => match parse_docs(&docs) {
-            Err(e) => w.whole(ResponseBody::Error(e)),
-            Ok(trees) => {
-                w.step(PHASE_DECODE);
-                wire::put_list_header(&mut w, OpCode::CanonicalSolution, trees.len());
-                // Fan out on the engine's *configured* parallelism alone.
-                // Consulting live `available_parallelism()` here made the
-                // branch untestable (a 1-core CI box could never exercise
-                // the reorder buffer below) and second-guessed an explicit
-                // `workers` configuration; whoever builds the engine owns
-                // the single-core-pool-is-a-loss call.
-                if trees.len() > 1 && engine.configured_parallelism() > 1 {
-                    // Multi-document request: fan the per-document chase out
-                    // across the engine's pool ([`BatchEngine::canonical_solutions_for_each`]),
-                    // exactly what a local batch call runs. Results arrive in
-                    // completion order; the stream must be in document order,
-                    // so out-of-order solutions wait in a reorder buffer and
-                    // each is serialized and dropped as soon as its turn
-                    // comes — peak extra memory is the in-flight skew, not
-                    // the batch.
-                    let mut pending: Vec<Option<Result<XmlTree, SolutionError>>> =
-                        (0..trees.len()).map(|_| None).collect();
-                    let mut cursor = 0usize;
-                    engine.canonical_solutions_for_each(&trees, |i, result| {
-                        pending[i] = Some(result);
-                        while let Some(slot) = pending.get_mut(cursor) {
-                            let Some(ready) = slot.take() else { break };
-                            wire::put_result(&mut w, doc_result(ready), |w, tree| {
-                                wire::put_tree(w, &tree, codec)
-                            });
-                            cursor += 1;
+            wire::put_list_header(&mut w, op.wire_op(), trees.len());
+            for tree in &trees {
+                put_answer(&mut w, &op.run(compiled, tree, scratch), codec);
+            }
+            // Compute and serialization interleave, so the exec phase
+            // deliberately includes per-document encoding; the encode
+            // phase then covers only the residue after the last document.
+            w.step(PHASE_EXEC);
+            w.finish();
+        }
+        // Every other request reads or writes the resident store.
+        request => {
+            let Some(store) = store else {
+                return w.whole(ResponseBody::Error(store_disabled()));
+            };
+            match request {
+                Ok((op, DocSource::Stored(doc_id))) => {
+                    // Parse before the cache lookup so a malformed query
+                    // fails identically whether or not an answer is cached.
+                    let parsed = match op.parse() {
+                        Ok(parsed) => parsed,
+                        Err(e) => return w.whole(ResponseBody::Error(e)),
+                    };
+                    let answer = stored_answer(
+                        store,
+                        stats,
+                        &mut w,
+                        DocKey::new(setting, doc_id),
+                        op.cache_key(),
+                        |tree| parsed.plan(compiled).run(compiled, tree, scratch),
+                    );
+                    match answer {
+                        Ok(answer) => {
+                            wire::put_list_header(&mut w, parsed.wire_op(), 1);
+                            put_answer(&mut w, &answer, codec);
+                            w.finish();
                         }
-                    });
-                } else {
-                    // Single document (or no pool): the worker's own warm
-                    // scratch beats spawning compute threads.
-                    for t in &trees {
-                        let result = doc_result(compiled.canonical_solution_with(t, scratch));
-                        wire::put_result(&mut w, result, |w, tree| wire::put_tree(w, &tree, codec));
+                        Err(e) => w.whole(ResponseBody::Error(e)),
                     }
                 }
-                // Streaming paths interleave compute and serialization, so
-                // the exec phase deliberately includes per-document
-                // encoding; the encode phase then covers only the residue
-                // after the last document.
-                w.step(PHASE_EXEC);
-                w.finish();
-            }
-        },
-        RequestBody::CertainAnswers { query, docs } => {
-            let query = match parse_query(&query) {
-                Ok(q) => q,
-                Err(e) => return w.whole(ResponseBody::Error(WireError::of_query_error(&e))),
-            };
-            let trees = match parse_docs(&docs) {
-                Ok(t) => t,
-                Err(e) => return w.whole(ResponseBody::Error(e)),
-            };
-            w.step(PHASE_DECODE);
-            let plan = QueryPlan::new(&query, compiled.target_dtd());
-            w.step(PHASE_PLAN);
-            wire::put_list_header(&mut w, OpCode::CertainAnswers, trees.len());
-            for t in &trees {
-                let result = compiled
-                    .certain_answers_planned_with(t, &plan, scratch)
-                    .map(|answers| answers.tuples.into_iter().collect::<Vec<_>>());
-                wire::put_result(&mut w, doc_result(result), |w, tuples| {
-                    wire::put_tuples(w, &tuples)
-                });
-            }
-            w.step(PHASE_EXEC);
-            w.finish();
-        }
-        RequestBody::CertainAnswersBoolean { query, docs } => {
-            let query = match parse_query(&query) {
-                Ok(q) => q,
-                Err(e) => return w.whole(ResponseBody::Error(WireError::of_query_error(&e))),
-            };
-            let trees = match parse_docs(&docs) {
-                Ok(t) => t,
-                Err(e) => return w.whole(ResponseBody::Error(e)),
-            };
-            w.step(PHASE_DECODE);
-            let plan = QueryPlan::new(&query, compiled.target_dtd());
-            w.step(PHASE_PLAN);
-            wire::put_list_header(&mut w, OpCode::CertainAnswersBoolean, trees.len());
-            for t in &trees {
-                let result = compiled.certain_boolean_planned_with(t, &plan, scratch);
-                wire::put_result(&mut w, doc_result(result), wire::put_bool);
-            }
-            w.step(PHASE_EXEC);
-            w.finish();
-        }
-        RequestBody::PutDoc { doc_id, doc } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let tree = match doc.to_tree() {
-                Ok(tree) => tree,
-                Err(e) => return w.whole(ResponseBody::Error(e)),
-            };
-            w.step(PHASE_DECODE);
-            let result = {
-                let mut s = store.lock().expect("store poisoned");
-                let result = s.put(DocKey::new(setting, doc_id), tree);
-                if result.is_ok() {
-                    maybe_checkpoint(&mut s, wal_checkpoint_bytes);
+                Err(RequestBody::PutDoc { doc_id, doc }) => {
+                    let tree = match doc.to_tree() {
+                        Ok(tree) => tree,
+                        Err(e) => return w.whole(ResponseBody::Error(e)),
+                    };
+                    w.step(PHASE_DECODE);
+                    mutate(
+                        store,
+                        wal_checkpoint_bytes,
+                        w,
+                        |s| s.put(DocKey::new(setting, doc_id), tree),
+                        |version| ResponseBody::PutDocOk { version },
+                    );
                 }
-                result
-            };
-            w.step(PHASE_STORE);
-            match result {
-                Ok(version) => w.whole(ResponseBody::PutDocOk { version }),
-                Err(e) => w.whole(ResponseBody::Error(WireError::of_store_error(&e))),
-            }
-        }
-        RequestBody::GetDoc { doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            // Encode under the lock: the returned frame must be one
-            // consistent (version, bytes) pair even if an edit races in.
-            let mut s = store.lock().expect("store poisoned");
-            match s.get(DocKey::new(setting, doc_id)) {
-                Ok((tree, version)) => {
-                    let doc = WireDoc::from_tree(tree, codec);
+                Err(RequestBody::GetDoc { doc_id }) => {
+                    // Encode under the lock: the returned frame must be one
+                    // consistent (version, bytes) pair even if an edit races
+                    // in.
+                    let mut s = store.lock().expect("store poisoned");
+                    let body = match s.get(DocKey::new(setting, doc_id)) {
+                        Ok((tree, version)) => ResponseBody::GetDocOk {
+                            version,
+                            doc: WireDoc::from_tree(tree, codec),
+                        },
+                        Err(e) => ResponseBody::Error(WireError::of_store_error(&e)),
+                    };
                     drop(s);
                     w.step(PHASE_STORE);
-                    w.whole(ResponseBody::GetDocOk { version, doc });
+                    w.whole(body);
                 }
-                Err(e) => {
-                    drop(s);
-                    w.step(PHASE_STORE);
-                    w.whole(ResponseBody::Error(WireError::of_store_error(&e)));
+                Err(RequestBody::EditDoc {
+                    doc_id,
+                    base_version,
+                    edits,
+                }) => {
+                    let batch = match decode_edits_exact(&edits) {
+                        Ok(batch) => batch,
+                        Err(e) => {
+                            return w.whole(ResponseBody::Error(WireError::new(
+                                wire::ErrorCode::BadEdit,
+                                format!("malformed edit batch: {e}"),
+                            )))
+                        }
+                    };
+                    w.step(PHASE_DECODE);
+                    mutate(
+                        store,
+                        wal_checkpoint_bytes,
+                        w,
+                        |s| s.edit(DocKey::new(setting, doc_id), base_version, &batch),
+                        |receipt| ResponseBody::EditDocOk {
+                            version: receipt.version,
+                        },
+                    );
                 }
+                Err(RequestBody::DeleteDoc { doc_id }) => mutate(
+                    store,
+                    wal_checkpoint_bytes,
+                    w,
+                    |s| s.delete(DocKey::new(setting, doc_id)),
+                    |()| ResponseBody::DeleteDocOk,
+                ),
+                // `Ping` and `Hello` are answered by the event loop,
+                // registry ops and `Stats` by the worker before `respond` is
+                // reached; a job carrying one here is a dispatch bug, but
+                // answer it with a structured error instead of poisoning the
+                // worker.
+                _ => w.whole(ResponseBody::Error(WireError::new(
+                    wire::ErrorCode::UnknownOp,
+                    "op dispatched to the exchange path".to_string(),
+                ))),
             }
-        }
-        RequestBody::EditDoc {
-            doc_id,
-            base_version,
-            edits,
-        } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let batch = match decode_edits_exact(&edits) {
-                Ok(batch) => batch,
-                Err(e) => {
-                    return w.whole(ResponseBody::Error(WireError::new(
-                        wire::ErrorCode::BadEdit,
-                        format!("malformed edit batch: {e}"),
-                    )))
-                }
-            };
-            w.step(PHASE_DECODE);
-            let result = {
-                let mut s = store.lock().expect("store poisoned");
-                let result = s.edit(DocKey::new(setting, doc_id), base_version, &batch);
-                if result.is_ok() {
-                    maybe_checkpoint(&mut s, wal_checkpoint_bytes);
-                }
-                result
-            };
-            w.step(PHASE_STORE);
-            match result {
-                Ok(receipt) => w.whole(ResponseBody::EditDocOk {
-                    version: receipt.version,
-                }),
-                Err(e) => w.whole(ResponseBody::Error(WireError::of_store_error(&e))),
-            }
-        }
-        RequestBody::DeleteDoc { doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let result = {
-                let mut s = store.lock().expect("store poisoned");
-                let result = s.delete(DocKey::new(setting, doc_id));
-                if result.is_ok() {
-                    maybe_checkpoint(&mut s, wal_checkpoint_bytes);
-                }
-                result
-            };
-            w.step(PHASE_STORE);
-            match result {
-                Ok(()) => w.whole(ResponseBody::DeleteDocOk),
-                Err(e) => w.whole(ResponseBody::Error(WireError::of_store_error(&e))),
-            }
-        }
-        RequestBody::CheckConsistencyStored { doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let answer = stored_answer(
-                store,
-                stats,
-                &mut w,
-                DocKey::new(setting, doc_id),
-                CacheKey::Consistency,
-                |tree| {
-                    CachedAnswer::Consistency(
-                        compiled.check_instance_consistency_with(tree, scratch),
-                    )
-                },
-            );
-            match answer {
-                Ok(CachedAnswer::Consistency(consistent)) => {
-                    w.whole(ResponseBody::Consistency(vec![consistent]))
-                }
-                Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
-                    setting, doc_id,
-                )))),
-                Err(e) => w.whole(ResponseBody::Error(e)),
-            }
-        }
-        RequestBody::CanonicalSolutionStored { doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let answer = stored_answer(
-                store,
-                stats,
-                &mut w,
-                DocKey::new(setting, doc_id),
-                CacheKey::CanonicalSolution,
-                |tree| CachedAnswer::Solution(compiled.canonical_solution_with(tree, scratch)),
-            );
-            match answer {
-                Ok(CachedAnswer::Solution(result)) => {
-                    wire::put_list_header(&mut w, OpCode::CanonicalSolution, 1);
-                    wire::put_result(&mut w, doc_result(result), |w, tree| {
-                        wire::put_tree(w, &tree, codec)
-                    });
-                    w.finish();
-                }
-                Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
-                    setting, doc_id,
-                )))),
-                Err(e) => w.whole(ResponseBody::Error(e)),
-            }
-        }
-        RequestBody::CertainAnswersStored { query, doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            // Parse before the cache lookup so a malformed query fails
-            // identically whether or not an answer is cached.
-            let parsed = match parse_query(&query) {
-                Ok(q) => q,
-                Err(e) => return w.whole(ResponseBody::Error(WireError::of_query_error(&e))),
-            };
-            let answer = stored_answer(
-                store,
-                stats,
-                &mut w,
-                DocKey::new(setting, doc_id),
-                CacheKey::CertainAnswers(query),
-                |tree| {
-                    let plan = QueryPlan::new(&parsed, compiled.target_dtd());
-                    CachedAnswer::Answers(
-                        compiled
-                            .certain_answers_planned_with(tree, &plan, scratch)
-                            .map(|answers| answers.tuples.into_iter().collect()),
-                    )
-                },
-            );
-            match answer {
-                Ok(CachedAnswer::Answers(result)) => {
-                    w.whole(ResponseBody::Answers(vec![doc_result(result)]))
-                }
-                Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
-                    setting, doc_id,
-                )))),
-                Err(e) => w.whole(ResponseBody::Error(e)),
-            }
-        }
-        RequestBody::CertainAnswersBooleanStored { query, doc_id } => {
-            let Some(store) = store else {
-                return w.whole(ResponseBody::Error(store_disabled()));
-            };
-            let parsed = match parse_query(&query) {
-                Ok(q) => q,
-                Err(e) => return w.whole(ResponseBody::Error(WireError::of_query_error(&e))),
-            };
-            let answer = stored_answer(
-                store,
-                stats,
-                &mut w,
-                DocKey::new(setting, doc_id),
-                CacheKey::CertainBoolean(query),
-                |tree| {
-                    let plan = QueryPlan::new(&parsed, compiled.target_dtd());
-                    CachedAnswer::Boolean(
-                        compiled.certain_boolean_planned_with(tree, &plan, scratch),
-                    )
-                },
-            );
-            match answer {
-                Ok(CachedAnswer::Boolean(result)) => {
-                    w.whole(ResponseBody::Booleans(vec![doc_result(result)]))
-                }
-                Ok(_) => w.whole(ResponseBody::Error(cache_shape_error(DocKey::new(
-                    setting, doc_id,
-                )))),
-                Err(e) => w.whole(ResponseBody::Error(e)),
-            }
-        }
-        // `Ping` and `Hello` are answered by the event loop, registry ops
-        // and `Stats` by the worker before `respond` is reached; a job
-        // carrying one here is a dispatch bug, but answer it with a
-        // structured error instead of poisoning the worker.
-        RequestBody::Ping
-        | RequestBody::Hello { .. }
-        | RequestBody::PutSetting { .. }
-        | RequestBody::ListSettings
-        | RequestBody::EvictSetting { .. }
-        | RequestBody::Stats => {
-            w.whole(ResponseBody::Error(WireError::new(
-                wire::ErrorCode::UnknownOp,
-                "op dispatched to the exchange path".to_string(),
-            )));
         }
     }
-}
-
-/// A cached answer came back under the wrong [`CachedAnswer`] variant.
-/// Unreachable as long as [`CacheKey`] → variant stays one-to-one; answer
-/// with a structured error instead of poisoning the worker.
-fn cache_shape_error(doc: DocKey) -> WireError {
-    WireError::new(
-        wire::ErrorCode::StoreIo,
-        format!("cached answer for document {doc} has the wrong shape"),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -2581,6 +2518,62 @@ impl EventLoop<'_> {
                     wall as f64 / 1e6,
                 );
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The framed segments a worker hands the event loop for `body`, cut at
+    /// `chunk_bytes`.
+    fn sealed_segments(chunk_bytes: usize, body: ResponseBody) -> Vec<Vec<u8>> {
+        let shared = Shared::new();
+        let (wake, _peer) = UnixStream::pair().expect("socketpair");
+        let control = ServerControl {
+            stop: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            drain_deadline: Mutex::new(None),
+            wake: Mutex::new(wake),
+        };
+        let mut job = Job {
+            slot: 0,
+            generation: 0,
+            frame: RequestFrame::new(7, RequestBody::Ping),
+            codec: Codec::Binary,
+            trace: None,
+        };
+        ResponseWriter::new(&shared, &control, chunk_bytes, &mut job).whole(body);
+        let done = shared.done.into_inner().expect("completion queue");
+        done.into_iter().map(|d| d.bytes).collect()
+    }
+
+    fn answers(tuples: usize) -> ResponseBody {
+        let tuple = vec!["a value of twenty-two".to_string()];
+        ResponseBody::Answers(vec![Ok(vec![tuple; tuples])])
+    }
+
+    #[test]
+    fn queued_segments_hold_memory_in_proportion_to_their_length() {
+        // A reply of a few hundred bytes under the default chunk size.
+        let small = sealed_segments(ServerConfig::default().chunk_bytes, answers(12));
+        assert_eq!(small.len(), 1);
+        let (len, cap) = (small[0].len(), small[0].capacity());
+        assert!((200..1000).contains(&len), "reply of {len} bytes");
+        assert!(cap <= 2 * len, "{len}-byte reply holds {cap} bytes");
+
+        // A streamed reply: every segment, full or tail, holds at most
+        // twice its length.
+        let streamed = sealed_segments(1024, answers(400));
+        assert!(streamed.len() > 4);
+        for seg in &streamed {
+            assert!(
+                seg.capacity() <= 2 * seg.len(),
+                "{} of {}",
+                seg.capacity(),
+                seg.len()
+            );
         }
     }
 }

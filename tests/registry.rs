@@ -2,9 +2,8 @@
 //! content-addressed reuse, per-request setting selection with
 //! byte-for-byte parity against a per-setting `BatchEngine`, eviction that
 //! keeps bindings and stored documents alive, concurrent clients across
-//! distinct settings under eviction churn, and the deterministic
-//! multi-document fan-out path (gated on configured — not live —
-//! parallelism, so `workers: 4` forces it in any CI environment).
+//! distinct settings under eviction churn, and multi-document answers in
+//! request order on a four-worker server.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -334,18 +333,18 @@ fn eviction_keeps_stored_documents_and_recompiles_on_demand() {
 }
 
 #[test]
-fn forced_fanout_answers_in_request_order_byte_for_byte() {
+fn four_concurrent_workers_answer_in_request_order_byte_for_byte() {
     let setting = books_to_writers_setting();
-    // The heaviest document first: if the parallel fan-out reassembled
-    // completions naively, the cheap tail would overtake it.
+    // The heaviest document first: an answer that followed completion
+    // order instead of request order would put the cheap tail before it.
     let mut docs = book_docs(7);
     docs.reverse();
     let expect = expect_texts(&setting, &docs);
 
-    // `workers: 4` makes the engine's configured parallelism 4, which is
-    // the *only* gate on the multi-document fan-out path — the live
-    // `available_parallelism()` no longer factors in, so this branch runs
-    // deterministically even on a single-CPU CI runner.
+    // Four workers, each with its own scratch, take the requests of two
+    // connections; every request's documents are answered by the one
+    // worker that took it, so the reply follows request order whichever
+    // worker (and however warm its scratch) it lands on.
     let config = ServerConfig {
         workers: 4,
         ..ServerConfig::default()
@@ -361,7 +360,7 @@ fn forced_fanout_answers_in_request_order_byte_for_byte() {
                     .into_iter()
                     .map(|r| r.unwrap())
                     .collect();
-                assert_eq!(got, expect, "fan-out must preserve request order");
+                assert_eq!(got, expect, "answers must follow request order");
             }
         }
     });
