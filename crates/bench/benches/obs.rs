@@ -1,15 +1,12 @@
 //! Experiment E18 — observability overhead: the cost of the `xdx-obs`
-//! primitives themselves (histogram record, snapshot, trace step) and the
-//! end-to-end cost of per-request phase tracing on the serving path.
+//! primitives themselves (histogram record, snapshot, trace step), plus
+//! the E14 micro-batch workload served with every request traced.
 //!
 //! The primitive rows bound the per-event cost (a record is a handful of
 //! relaxed atomic RMWs; a trace step is one `Instant::now()` plus an
-//! add). The `served/*` rows run the same micro-batch workload as E14
-//! against two servers that differ only in
-//! [`ServerConfig::instrumentation`] — the on/off delta is the whole
-//! tracing tax (trace allocation, eight phase steps, histogram folds at
-//! finalize), and the acceptance bar is that it stays within noise
-//! (< 3%) of the uninstrumented server.
+//! add); a traced request pays eight phase steps and about nine
+//! histogram records. The `served/{batch}` row is the traced server's
+//! throughput on that workload, checked answer by answer.
 //!
 //! `XDX_BENCH_FAST=1` shrinks the sweep — the CI smoke step uses it.
 
@@ -63,42 +60,33 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // End-to-end: the E14 served workload against instrumentation on/off.
+    // End-to-end: the E14 served workload, every request traced.
     let setting = clio_setting(4, 4);
     let batch = if fast { 4 } else { 8 };
     let docs: Vec<XmlTree> = (0..batch)
         .map(|i| clio_source(4, 64, 0xE18_0000 + i as u64))
         .collect();
-    for (label, instrumentation) in [("on", true), ("off", false)] {
-        let sock =
-            std::env::temp_dir().join(format!("xdx-bench-obs-{}-{label}.sock", std::process::id()));
-        let _ = std::fs::remove_file(&sock);
-        std::thread::scope(|scope| {
-            let config = ServerConfig {
-                workers: 2,
-                instrumentation,
-                ..ServerConfig::default()
-            };
-            let server =
-                Server::bind(&setting, None, Some(&sock), config).expect("bind bench server");
-            let control = server.control();
-            scope.spawn(move || server.run());
-            let mut client = Client::connect_unix(&sock).expect("connect bench client");
-            client.ping().expect("bench server alive");
-            group.bench_with_input(
-                BenchmarkId::new(format!("served/instrumentation/{label}"), batch),
-                &docs,
-                |b, docs| {
-                    b.iter(|| {
-                        let results = client.canonical_solution_docs(docs).expect("served batch");
-                        assert!(results.iter().all(Result::is_ok));
-                        results.len()
-                    })
-                },
-            );
-            control.shutdown();
+    let sock = std::env::temp_dir().join(format!("xdx-bench-obs-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    std::thread::scope(|scope| {
+        let config = ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind(&setting, None, Some(&sock), config).expect("bind bench server");
+        let control = server.control();
+        scope.spawn(move || server.run());
+        let mut client = Client::connect_unix(&sock).expect("connect bench client");
+        client.ping().expect("bench server alive");
+        group.bench_with_input(BenchmarkId::new("served", batch), &docs, |b, docs| {
+            b.iter(|| {
+                let results = client.canonical_solution_docs(docs).expect("served batch");
+                assert!(results.iter().all(Result::is_ok));
+                results.len()
+            })
         });
-    }
+        control.shutdown();
+    });
     group.finish();
 }
 

@@ -9,15 +9,17 @@
 //! * [`HistogramSnapshot`] — a point-in-time copy with exact count/sum/
 //!   min/max and estimated p50/p90/p99, mergeable across histograms (e.g.
 //!   per-worker shards, or per-process scrapes on a router);
-//! * [`Counter`] / [`Gauge`] — thin relaxed atomics;
-//! * [`MetricRegistry`] — a fixed table of **static-name** metrics whose
-//!   name ordering is asserted once at construction, so exporters can walk
-//!   it without sorting or allocating per scrape;
+//! * [`Unit`] — the unit a histogram's values are measured in, carried on
+//!   the wire so readers can format a row without a name convention;
 //! * [`Trace`] — a per-request phase timer: a fixed array of phase
 //!   durations advanced by [`Trace::step`], designed to ride through a
 //!   request pipeline (decode → queue → … → flush) with one `Instant`
 //!   read per phase boundary and zero allocation;
 //! * [`prom`] — a Prometheus-style text exposition renderer.
+//!
+//! There is no metric registry: a named counter is a plain atomic field of
+//! the component that counts it, and its name is written once, beside the
+//! value, where that component builds its snapshot rows.
 //!
 //! The memory-ordering argument for the lock-free histogram (and why the
 //! recording path needs no sampling at current request rates) lives in
@@ -284,67 +286,7 @@ impl HistogramSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Counter / Gauge
-// ---------------------------------------------------------------------------
-
-/// A monotonically increasing counter (relaxed atomic).
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A level that can move both ways, with a high-watermark helper.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Gauge {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Set the level.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise the level to `v` if `v` is higher (high-watermark tracking).
-    #[inline]
-    pub fn raise(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Metric registry
+// Units
 // ---------------------------------------------------------------------------
 
 /// The unit a histogram's values are measured in (carried on the wire so
@@ -386,103 +328,6 @@ impl Unit {
             Unit::Count => "",
             Unit::Bytes => "B",
         }
-    }
-}
-
-/// A fixed table of static-name metrics.
-///
-/// Names are given once, at construction, in strictly ascending order —
-/// asserted **there**, not on every export (exporters used to re-sort and
-/// `debug_assert` per call; moving the invariant to construction makes an
-/// export a plain walk). Hot paths hold on to the index of the metric they
-/// record into; name lookup is a binary search for cold paths only.
-#[derive(Debug)]
-pub struct MetricRegistry {
-    counters: Box<[(&'static str, Counter)]>,
-    gauges: Box<[(&'static str, Gauge)]>,
-    histograms: Box<[(&'static str, Unit, Histogram)]>,
-}
-
-/// Assert strict ascending order once; the message names the offender.
-fn assert_sorted(kind: &str, names: impl Iterator<Item = &'static str>) {
-    let mut prev: Option<&'static str> = None;
-    for name in names {
-        if let Some(p) = prev {
-            assert!(
-                p < name,
-                "{kind} names must be strictly ascending: {p:?} !< {name:?}"
-            );
-        }
-        prev = Some(name);
-    }
-}
-
-impl MetricRegistry {
-    /// Build the table. Panics unless each name list is strictly ascending
-    /// (this is the construction-time ordering assertion exporters rely
-    /// on).
-    pub fn new(
-        counters: &[&'static str],
-        gauges: &[&'static str],
-        histograms: &[(&'static str, Unit)],
-    ) -> MetricRegistry {
-        assert_sorted("counter", counters.iter().copied());
-        assert_sorted("gauge", gauges.iter().copied());
-        assert_sorted("histogram", histograms.iter().map(|&(n, _)| n));
-        MetricRegistry {
-            counters: counters.iter().map(|&n| (n, Counter::new())).collect(),
-            gauges: gauges.iter().map(|&n| (n, Gauge::new())).collect(),
-            histograms: histograms
-                .iter()
-                .map(|&(n, u)| (n, u, Histogram::new()))
-                .collect(),
-        }
-    }
-
-    /// Counter by construction index.
-    pub fn counter(&self, i: usize) -> &Counter {
-        &self.counters[i].1
-    }
-
-    /// Gauge by construction index.
-    pub fn gauge(&self, i: usize) -> &Gauge {
-        &self.gauges[i].1
-    }
-
-    /// Histogram by construction index.
-    pub fn histogram(&self, i: usize) -> &Histogram {
-        &self.histograms[i].2
-    }
-
-    /// Counter index by name (cold-path lookup).
-    pub fn counter_index(&self, name: &str) -> Option<usize> {
-        self.counters.binary_search_by(|(n, _)| (*n).cmp(name)).ok()
-    }
-
-    /// Histogram index by name (cold-path lookup).
-    pub fn histogram_index(&self, name: &str) -> Option<usize> {
-        self.histograms
-            .binary_search_by(|(n, _, _)| (*n).cmp(name))
-            .ok()
-    }
-
-    /// `(name, value)` rows for every counter, in name order.
-    pub fn counter_rows(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(n, c)| (*n, c.get()))
-    }
-
-    /// `(name, value)` rows for every gauge, in name order.
-    pub fn gauge_rows(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.gauges.iter().map(|(n, g)| (*n, g.get()))
-    }
-
-    /// `(name, unit, snapshot)` rows for every histogram, in name order.
-    pub fn histogram_rows(
-        &self,
-    ) -> impl Iterator<Item = (&'static str, Unit, HistogramSnapshot)> + '_ {
-        self.histograms
-            .iter()
-            .map(|(n, u, h)| (*n, *u, h.snapshot()))
     }
 }
 
@@ -701,28 +546,6 @@ mod tests {
         let back =
             HistogramSnapshot::from_sparse(s.count, s.sum, s.min, s.max, s.nonzero_buckets());
         assert_eq!(s, back);
-    }
-
-    #[test]
-    fn registry_asserts_order_once() {
-        let r = MetricRegistry::new(
-            &["a.one", "b.two"],
-            &[],
-            &[("h.x", Unit::Nanos), ("h.y", Unit::Count)],
-        );
-        r.counter(0).inc();
-        assert_eq!(r.counter_index("b.two"), Some(1));
-        assert_eq!(r.histogram_index("h.y"), Some(1));
-        assert_eq!(
-            r.counter_rows().collect::<Vec<_>>(),
-            vec![("a.one", 1), ("b.two", 0)]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn registry_rejects_unsorted_names() {
-        MetricRegistry::new(&["b", "a"], &[], &[]);
     }
 
     #[test]

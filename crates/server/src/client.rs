@@ -41,16 +41,18 @@ const MAX_RESPONSE_BYTES: usize = 256 * 1024 * 1024;
 /// `None`) via [`Client::set_timeout`].
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A typed `Stats` response: flat counters plus histogram rows (none when
-/// the server has recorded nothing yet). Both lists are sorted ascending
-/// by name. The [`std::fmt::Display`] impl renders the operator-facing form
+/// A typed `Stats` response: flat counters plus histogram rows. Both lists
+/// are sorted ascending by name. [`Client::stats`] fetches one over the
+/// wire and [`crate::StatsHandle::snapshot`] takes one in process; either
+/// renders with [`StatsSnapshot::render_prometheus`], and the
+/// [`std::fmt::Display`] impl renders the operator-facing form
 /// `--client-smoke` prints.
 #[derive(Debug, Clone, Default)]
 pub struct StatsSnapshot {
     /// Counter rows (name, value).
     pub counters: Vec<(String, u64)>,
-    /// Histogram rows in sparse wire form; rebuild with
-    /// [`xdx_obs::HistogramSnapshot::from_sparse`] for percentiles.
+    /// Histogram rows in sparse wire form; [`wire::StatsHistogram::snapshot`]
+    /// rebuilds one for percentiles.
     pub histograms: Vec<wire::StatsHistogram>,
 }
 
@@ -67,6 +69,21 @@ impl StatsSnapshot {
     pub fn histogram(&self, name: &str) -> Option<&wire::StatsHistogram> {
         self.histograms.iter().find(|h| h.name == name)
     }
+
+    /// Every row in the Prometheus text format. Counters render as gauges:
+    /// several (uptime, levels, highwaters) genuinely are, and a scraper
+    /// can `rate()` either.
+    pub fn render_prometheus(&self) -> String {
+        let mut out = String::new();
+        for (name, value) in &self.counters {
+            xdx_obs::prom::scalar(&mut out, name, *value, true);
+        }
+        for h in &self.histograms {
+            let unit = xdx_obs::Unit::from_tag(h.unit);
+            xdx_obs::prom::histogram(&mut out, &h.name, unit, &h.snapshot());
+        }
+        out
+    }
 }
 
 impl std::fmt::Display for StatsSnapshot {
@@ -82,13 +99,7 @@ impl std::fmt::Display for StatsSnapshot {
             writeln!(f, "{name:<width$}  {value}")?;
         }
         for h in &self.histograms {
-            let snap = xdx_obs::HistogramSnapshot::from_sparse(
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.buckets.iter().copied(),
-            );
+            let snap = h.snapshot();
             let unit = xdx_obs::Unit::from_tag(h.unit).suffix();
             writeln!(
                 f,

@@ -146,6 +146,13 @@ impl Registry {
         )
     }
 
+    /// Is a setting bound to `setting_id`? Bindings are never removed, so
+    /// once this is true it stays true.
+    pub(crate) fn is_bound(&self, setting_id: u64) -> bool {
+        let inner = self.inner.lock().expect("registry poisoned");
+        inner.bindings.contains_key(&setting_id)
+    }
+
     /// Parse, canonicalize, compile (or reuse) and bind `text` to
     /// `bind_id`.
     pub(crate) fn put(&self, bind_id: u64, text: &str) -> Result<PutOutcome, WireError> {

@@ -54,7 +54,21 @@
 //! announced length exceeds [`ServerConfig::max_frame_bytes`] poison the
 //! connection (error frame, flush, close), since the stream can no longer
 //! be framed safely; merely malformed payloads only fail their own request.
+//!
+//! ## Metrics
+//!
+//! Every metric lives in one private `ServerStats`: counters are named
+//! relaxed atomics, and the engine's chase work and the per-`(op,
+//! setting)` request phases are lock-free histograms. One snapshot
+//! function reads them all, writing each row's name beside the value it
+//! reads and sorting each list once, and it takes the store lock once.
+//! The `Stats` reply, [`StatsHandle::snapshot`] and, through either,
+//! [`StatsSnapshot::render_prometheus`] all come from it, so a local dump
+//! and a remote scrape render the same rows. Requests naming an unbound
+//! setting id share one `unbound` phase key, so the phase table is bounded
+//! by the binding cap.
 
+use crate::client::StatsSnapshot;
 use crate::registry::Registry;
 use crate::sys::{Epoll, Event, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::transport::Duplex;
@@ -76,7 +90,7 @@ use xdx_core::compiled::{CompiledSetting, ExchangeScratch};
 use xdx_core::settext::setting_to_text;
 use xdx_core::setting::DataExchangeSetting;
 use xdx_core::solution::SolutionError;
-use xdx_obs::{Histogram, HistogramSnapshot, MetricRegistry, Trace, Unit};
+use xdx_obs::{Histogram, Trace, Unit};
 use xdx_patterns::parser::parse_query;
 use xdx_patterns::plan::QueryPlan;
 use xdx_patterns::query::UnionQuery;
@@ -163,17 +177,10 @@ pub struct ServerConfig {
     /// pipelining client at any pace never has a partial frame older than
     /// one frame's transmission. `None` disables the check.
     pub read_progress_timeout: Option<Duration>,
-    /// Per-request phase tracing: when `true` (the default) every
-    /// worker-path request carries an [`xdx_obs::Trace`] from frame decode
-    /// to final flush, feeding the per-`(op, setting)` phase histograms of
-    /// the `Stats` export and the slow-request log. Off, requests carry
-    /// no trace and only the plain counters remain (bench `E18` measures
-    /// the difference).
-    pub instrumentation: bool,
     /// Log a rate-limited one-line phase breakdown (to stderr) for every
     /// fully flushed request whose wall time reaches this threshold, and
-    /// count it in `server.slow_requests`. `None` (the default) disables
-    /// the log; the counter still counts nothing.
+    /// count it in the `Stats` slow-request counter. `None` (the default)
+    /// disables the log, and the counter stays 0.
     pub slow_request_threshold: Option<Duration>,
 }
 
@@ -196,7 +203,6 @@ impl Default for ServerConfig {
             max_inflight_per_setting: 256,
             idle_timeout: Some(Duration::from_secs(60)),
             read_progress_timeout: Some(Duration::from_secs(10)),
-            instrumentation: true,
             slow_request_threshold: None,
         }
     }
@@ -383,10 +389,71 @@ impl ServerControl {
     }
 }
 
-/// Operational counters behind the `Stats` wire op (v4). Everything is a
-/// monotonically increasing `u64` (or a level read at request time), so a
-/// scraper can diff consecutive snapshots without special cases.
-#[derive(Debug)]
+// ---------------------------------------------------------------------------
+// Per-request tracing and latency histograms
+// ---------------------------------------------------------------------------
+
+/// Phase indices of a request's [`Trace`] (slots of `Trace`'s fixed
+/// array). The phases partition a request's wall time: every interval
+/// from frame decode to final flush is charged to exactly one of them, so
+/// the per-phase histogram sums reconstruct the total (the property
+/// `tests/server_integration.rs` pins at ≥ 90%).
+const PHASE_DECODE: usize = 0;
+const PHASE_QUEUE: usize = 1;
+const PHASE_RESOLVE: usize = 2;
+const PHASE_PLAN: usize = 3;
+const PHASE_EXEC: usize = 4;
+const PHASE_STORE: usize = 5;
+const PHASE_ENCODE: usize = 6;
+const PHASE_FLUSH: usize = 7;
+
+/// Wire/export names of the phases, indexed by the constants above.
+const PHASE_NAMES: [&str; 8] = [
+    "decode", "queue", "resolve", "plan", "exec", "store", "encode", "flush",
+];
+
+/// A request's trace plus the key it will be recorded under. Boxed on the
+/// [`Job`]/[`Done`] handoffs and in the write queue, where only a
+/// response's final segment carries one, so every other entry pays one
+/// pointer, not the trace array.
+struct ReqTrace {
+    /// The op byte (key half one; [`OpCode::name`] at export time).
+    op: u8,
+    /// The addressed setting (key half two, when it is bound).
+    setting: u64,
+    trace: Trace,
+}
+
+/// The latency histograms of one `(op, setting)` key.
+struct PhaseSet {
+    /// One histogram per [`PHASE_NAMES`] entry, nanoseconds.
+    phases: [Histogram; PHASE_NAMES.len()],
+    /// Wall time decode-start → fully-flushed, nanoseconds.
+    total: Histogram,
+}
+
+impl PhaseSet {
+    const fn new() -> PhaseSet {
+        // Repeat-initializer idiom: each array element gets its own copy.
+        #[allow(clippy::declare_interior_mutable_const)]
+        const H: Histogram = Histogram::new();
+        PhaseSet {
+            phases: [H; PHASE_NAMES.len()],
+            total: H,
+        }
+    }
+}
+
+/// The op byte and the setting a request's phases are recorded under; the
+/// setting is `None` when its id was not bound.
+type PhaseKey = (u8, Option<u64>);
+
+/// Every metric the server keeps: the counters, the engine's per-request
+/// chase work, the per-`(op, setting)` phase histograms and the
+/// slow-request log's clock. Counters are relaxed atomics and histograms
+/// are lock-free, so workers and the event loop record without locking.
+/// [`ServerStats::snapshot`] is the one reader: the `Stats` reply, the
+/// [`StatsHandle`] and the Prometheus text all come from it.
 struct ServerStats {
     started: Instant,
     /// Connections accepted and registered (shed ones excluded).
@@ -414,60 +481,23 @@ struct ServerStats {
     /// reached ([`ExchangeScratch::assign_highwater`]) — the peak working
     /// set of pattern matching.
     assign_highwater: AtomicU64,
-}
-
-/// Counter names of every [`ServerStats`]-backed `Stats` row that exists
-/// regardless of a store, ascending — the order [`collect_stats`] emits
-/// and the wire contract requires. Kept as one table (rather than inline
-/// strings) so ascending order is asserted **once at construction**
-/// ([`ServerStats::new`]), not re-checked per `Stats` request.
-const BASE_STAT_NAMES: [&str; 12] = [
-    "engine.assign_highwater",
-    "registry.artifact_hits",
-    "registry.artifact_misses",
-    "server.accepted_conns",
-    "server.busy_rejected",
-    "server.goaway_rejected",
-    "server.inflight_highwater",
-    "server.reaped_idle",
-    "server.reaped_slow",
-    "server.setting_inflight_highwater",
-    "server.slow_requests",
-    "server.uptime_secs",
-];
-
-/// Counter names appended when a store is mounted; ascending, and every
-/// entry sorts after the whole base table (`store.` > `server.`).
-const STORE_STAT_NAMES: [&str; 11] = [
-    "store.cache_hits",
-    "store.cache_misses",
-    "store.degraded",
-    "store.dirty_docs",
-    "store.replay_ns",
-    "store.replayed_records",
-    "store.resident_docs",
-    "store.resident_tree_bytes",
-    "store.seq",
-    "store.wal_bytes",
-    "store.wal_rollbacks",
-];
-
-fn assert_stat_names_ascending() {
-    let sorted = |names: &[&str]| names.windows(2).all(|w| w[0] < w[1]);
-    assert!(
-        sorted(&BASE_STAT_NAMES)
-            && sorted(&STORE_STAT_NAMES)
-            && BASE_STAT_NAMES.last() < STORE_STAT_NAMES.first(),
-        "Stats counter name tables must be strictly ascending"
-    );
+    /// Chase pops per request that ran the chase.
+    chase_steps: Histogram,
+    /// Chase repairs per request that ran the chase.
+    chase_repairs: Histogram,
+    /// Per-`(op, setting)` phase histograms, where the setting is `None`
+    /// for every request whose id was not bound when it was retired. The
+    /// map only ever grows, but bindings are capped and never removed, so
+    /// it holds at most 18 ops × (`max_settings` + 1) entries; reads take
+    /// the lock briefly to clone the `Arc`, records then run lock-free on
+    /// the histograms themselves.
+    phases: RwLock<HashMap<PhaseKey, Arc<PhaseSet>>>,
+    /// Last slow-request line's timestamp (the ~1/sec rate limit).
+    slow_log_last: Mutex<Option<Instant>>,
 }
 
 impl ServerStats {
     fn new() -> ServerStats {
-        // The ordering invariant the wire contract needs is established
-        // here, once per server, instead of debug-asserted on every
-        // `collect_stats` call.
-        assert_stat_names_ascending();
         ServerStats {
             started: Instant::now(),
             accepted_conns: AtomicU64::new(0),
@@ -481,158 +511,93 @@ impl ServerStats {
             store_cache_misses: AtomicU64::new(0),
             slow_requests: AtomicU64::new(0),
             assign_highwater: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Snapshot every counter for one `Stats` response: the loop-side and
-/// worker-side atomics, the registry's compiled-cache counters, and — when
-/// a store is mounted — the store's own health gauges, taken under its
-/// lock. Rows ascend by name (the wire contract).
-fn collect_stats(
-    stats: &ServerStats,
-    registry: &Registry,
-    store: Option<&ServerStore>,
-) -> Vec<(String, u64)> {
-    let (hits, misses) = registry.artifact_counters();
-    // Values in the same positional order as the name tables, whose
-    // ascending order [`ServerStats::new`] asserted at construction.
-    let base: [u64; BASE_STAT_NAMES.len()] = [
-        stats.assign_highwater.load(Ordering::Relaxed),
-        hits,
-        misses,
-        stats.accepted_conns.load(Ordering::Relaxed),
-        stats.busy_rejected.load(Ordering::Relaxed),
-        stats.goaway_rejected.load(Ordering::Relaxed),
-        stats.inflight_highwater.load(Ordering::Relaxed),
-        stats.reaped_idle.load(Ordering::Relaxed),
-        stats.reaped_slow.load(Ordering::Relaxed),
-        stats.setting_inflight_highwater.load(Ordering::Relaxed),
-        stats.slow_requests.load(Ordering::Relaxed),
-        stats.started.elapsed().as_secs(),
-    ];
-    let mut counters: Vec<(String, u64)> = BASE_STAT_NAMES
-        .iter()
-        .zip(base)
-        .map(|(&n, v)| (n.to_string(), v))
-        .collect();
-    if let Some(store) = store {
-        let s = store.lock().expect("store poisoned");
-        let m = s.metrics();
-        let store_vals: [u64; STORE_STAT_NAMES.len()] = [
-            stats.store_cache_hits.load(Ordering::Relaxed),
-            stats.store_cache_misses.load(Ordering::Relaxed),
-            s.is_degraded() as u64,
-            s.dirty_total() as u64,
-            m.replay_ns,
-            m.replayed_records,
-            s.len() as u64,
-            s.resident_tree_bytes(),
-            s.seq(),
-            s.wal_len(),
-            s.wal_rollbacks(),
-        ];
-        counters.extend(
-            STORE_STAT_NAMES
-                .iter()
-                .zip(store_vals)
-                .map(|(&n, v)| (n.to_string(), v)),
-        );
-    }
-    counters
-}
-
-// ---------------------------------------------------------------------------
-// Per-request tracing and latency histograms
-// ---------------------------------------------------------------------------
-
-/// Phase indices of a request's [`Trace`] (slots of `Trace`'s fixed
-/// array). The phases partition a request's wall time: every interval
-/// from frame decode to final flush is charged to exactly one of them, so
-/// the per-phase histogram sums reconstruct the total (the property
-/// `tests/server_integration.rs` pins at ≥ 90%).
-const PHASE_DECODE: usize = 0;
-const PHASE_QUEUE: usize = 1;
-const PHASE_RESOLVE: usize = 2;
-const PHASE_PLAN: usize = 3;
-const PHASE_EXEC: usize = 4;
-const PHASE_STORE: usize = 5;
-const PHASE_ENCODE: usize = 6;
-const PHASE_FLUSH: usize = 7;
-
-/// Wire/export names of the phases, indexed by the constants above.
-const PHASE_NAMES: [&str; 8] = [
-    "decode", "queue", "resolve", "plan", "exec", "store", "encode", "flush",
-];
-
-/// A request's trace plus the key it will be recorded under. Boxed on the
-/// [`Job`]/[`Done`] handoffs so the untraced configuration pays one
-/// pointer, not the trace array.
-struct ReqTrace {
-    /// The op byte (key half one; [`OpCode::name`] at export time).
-    op: u8,
-    /// The addressed setting (key half two).
-    setting: u64,
-    trace: Trace,
-}
-
-/// The latency histograms of one `(op, setting)` key.
-struct PhaseSet {
-    /// One histogram per [`PHASE_NAMES`] entry, nanoseconds.
-    phases: [Histogram; PHASE_NAMES.len()],
-    /// Wall time decode-start → fully-flushed, nanoseconds.
-    total: Histogram,
-}
-
-impl PhaseSet {
-    const fn new() -> PhaseSet {
-        // Repeat-initializer idiom: each array element gets its own copy.
-        #[allow(clippy::declare_interior_mutable_const)]
-        const H: Histogram = Histogram::new();
-        PhaseSet {
-            phases: [H; PHASE_NAMES.len()],
-            total: H,
-        }
-    }
-}
-
-/// Construction indices of [`GLOBAL_HISTOGRAMS`] (asserted by the
-/// registry's own ordering check at startup).
-const HIST_CHASE_REPAIRS: usize = 0;
-const HIST_CHASE_STEPS: usize = 1;
-
-/// The static-name global histograms (engine-side work distributions,
-/// recorded once per engine-path request).
-const GLOBAL_HISTOGRAMS: [(&str, Unit); 2] = [
-    ("engine.chase_repairs", Unit::Count),
-    ("engine.chase_steps", Unit::Count),
-];
-
-/// Server-side latency/work histograms, shared by workers (record), the
-/// event loop (trace finalization) and exporters (`Stats`, Prometheus).
-struct ServerMetrics {
-    /// Static-name histograms ([`GLOBAL_HISTOGRAMS`]).
-    global: MetricRegistry,
-    /// Per-`(op, setting)` phase histograms. The map only ever grows (an
-    /// entry per *op actually used* per live setting — bounded by 18 ×
-    /// `max_settings`); reads take the lock briefly to clone the `Arc`,
-    /// records then run lock-free on the histograms themselves.
-    phases: RwLock<HashMap<(u8, u64), Arc<PhaseSet>>>,
-    /// Last slow-request line's timestamp (the ~1/sec rate limit).
-    slow_log_last: Mutex<Option<Instant>>,
-}
-
-impl ServerMetrics {
-    fn new() -> ServerMetrics {
-        ServerMetrics {
-            global: MetricRegistry::new(&[], &[], &GLOBAL_HISTOGRAMS),
+            chase_steps: Histogram::new(),
+            chase_repairs: Histogram::new(),
             phases: RwLock::new(HashMap::new()),
             slow_log_last: Mutex::new(None),
         }
     }
 
+    /// Every counter and histogram row, each list ascending by name: the
+    /// server's own metrics, the registry's compiled-cache counters and —
+    /// when a store is mounted — the store's gauges and durability
+    /// latencies, read under one store lock. Each row is named here, beside
+    /// the value it reads; the sorts at the end establish the order the
+    /// wire contract requires.
+    fn snapshot(&self, registry: &Registry, store: Option<&ServerStore>) -> StatsSnapshot {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let (artifact_hits, artifact_misses) = registry.artifact_counters();
+        let mut counters = vec![
+            ("engine.assign_highwater", load(&self.assign_highwater)),
+            ("registry.artifact_hits", artifact_hits),
+            ("registry.artifact_misses", artifact_misses),
+            ("server.accepted_conns", load(&self.accepted_conns)),
+            ("server.busy_rejected", load(&self.busy_rejected)),
+            ("server.goaway_rejected", load(&self.goaway_rejected)),
+            ("server.inflight_highwater", load(&self.inflight_highwater)),
+            ("server.reaped_idle", load(&self.reaped_idle)),
+            ("server.reaped_slow", load(&self.reaped_slow)),
+            (
+                "server.setting_inflight_highwater",
+                load(&self.setting_inflight_highwater),
+            ),
+            ("server.slow_requests", load(&self.slow_requests)),
+            ("server.uptime_secs", self.started.elapsed().as_secs()),
+        ];
+        let mut histograms = vec![
+            histogram_row("engine.chase_repairs", Unit::Count, &self.chase_repairs),
+            histogram_row("engine.chase_steps", Unit::Count, &self.chase_steps),
+        ];
+        for (&(op, setting), set) in self.phases.read().expect("phase table poisoned").iter() {
+            let op = OpCode::from_u8(op).map(OpCode::name).unwrap_or("unknown");
+            let key = match setting {
+                Some(id) => format!("req.{op}.s{id}"),
+                None => format!("req.{op}.unbound"),
+            };
+            let rows = PHASE_NAMES.iter().zip(&set.phases);
+            for (phase, histogram) in rows.chain([(&"total", &set.total)]) {
+                if histogram.count() > 0 {
+                    let name = format!("{key}.{phase}");
+                    histograms.push(histogram_row(&name, Unit::Nanos, histogram));
+                }
+            }
+        }
+        if let Some(store) = store {
+            let s = store.lock().expect("store poisoned");
+            let m = s.metrics();
+            counters.extend([
+                ("store.cache_hits", load(&self.store_cache_hits)),
+                ("store.cache_misses", load(&self.store_cache_misses)),
+                ("store.degraded", s.is_degraded() as u64),
+                ("store.dirty_nodes", s.dirty_total() as u64),
+                ("store.replay_ns", m.replay_ns),
+                ("store.replayed_records", m.replayed_records),
+                ("store.resident_docs", s.len() as u64),
+                ("store.resident_tree_bytes", s.resident_tree_bytes()),
+                ("store.seq", s.seq()),
+                ("store.wal_bytes", s.wal_len()),
+                ("store.wal_rollbacks", s.wal_rollbacks()),
+            ]);
+            histograms.push(histogram_row(
+                "store.checkpoint",
+                Unit::Nanos,
+                &m.checkpoint,
+            ));
+            histograms.push(histogram_row("store.fsync", Unit::Nanos, &m.fsync));
+        }
+        counters.sort_unstable_by_key(|&(name, _)| name);
+        histograms.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        StatsSnapshot {
+            counters: counters
+                .into_iter()
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
+            histograms,
+        }
+    }
+
     /// The phase set of `(op, setting)`, creating it on first use.
-    fn phase_set(&self, op: u8, setting: u64) -> Arc<PhaseSet> {
+    fn phase_set(&self, op: u8, setting: Option<u64>) -> Arc<PhaseSet> {
         if let Some(set) = self
             .phases
             .read()
@@ -664,10 +629,12 @@ impl ServerMetrics {
     }
 }
 
-/// One [`wire::StatsHistogram`] row from a snapshot.
-fn histogram_row(name: String, unit: Unit, snap: &HistogramSnapshot) -> wire::StatsHistogram {
+/// One [`wire::StatsHistogram`] row: a snapshot of `histogram` in sparse
+/// form.
+fn histogram_row(name: &str, unit: Unit, histogram: &Histogram) -> wire::StatsHistogram {
+    let snap = histogram.snapshot();
     wire::StatsHistogram {
-        name,
+        name: name.to_string(),
         unit: unit.tag(),
         count: snap.count,
         sum: snap.sum,
@@ -675,61 +642,6 @@ fn histogram_row(name: String, unit: Unit, snap: &HistogramSnapshot) -> wire::St
         max: snap.max,
         buckets: snap.nonzero_buckets().collect(),
     }
-}
-
-/// Snapshot every histogram for a `Stats` response (or the Prometheus
-/// rendering): the global engine rows, every non-empty per-`(op, setting)`
-/// phase row, and — when a store is mounted — its fsync/checkpoint
-/// latencies. Rows ascend by name, like the counters.
-fn collect_histograms(
-    metrics: &ServerMetrics,
-    store: Option<&ServerStore>,
-) -> Vec<wire::StatsHistogram> {
-    let mut rows: Vec<wire::StatsHistogram> = Vec::new();
-    for (name, unit, snap) in metrics.global.histogram_rows() {
-        rows.push(histogram_row(name.to_string(), unit, &snap));
-    }
-    {
-        let table = metrics.phases.read().expect("phase table poisoned");
-        for (&(op, setting), set) in table.iter() {
-            let op_name = OpCode::from_u8(op).map(OpCode::name).unwrap_or("unknown");
-            for (i, phase) in PHASE_NAMES.iter().enumerate() {
-                let snap = set.phases[i].snapshot();
-                if snap.count == 0 {
-                    continue;
-                }
-                rows.push(histogram_row(
-                    format!("req.{op_name}.s{setting}.{phase}"),
-                    Unit::Nanos,
-                    &snap,
-                ));
-            }
-            let total = set.total.snapshot();
-            if total.count > 0 {
-                rows.push(histogram_row(
-                    format!("req.{op_name}.s{setting}.total"),
-                    Unit::Nanos,
-                    &total,
-                ));
-            }
-        }
-    }
-    if let Some(store) = store {
-        let s = store.lock().expect("store poisoned");
-        let m = s.metrics();
-        rows.push(histogram_row(
-            "store.checkpoint".to_string(),
-            Unit::Nanos,
-            &m.checkpoint.snapshot(),
-        ));
-        rows.push(histogram_row(
-            "store.fsync".to_string(),
-            Unit::Nanos,
-            &m.fsync.snapshot(),
-        ));
-    }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    rows
 }
 
 /// One unit of work: a decoded request owned by a connection generation.
@@ -741,9 +653,9 @@ struct Job {
     generation: u64,
     frame: RequestFrame,
     codec: Codec,
-    /// The request's phase trace (instrumentation on), running since frame
-    /// decode; rides to the worker and back so queue/handoff latencies
-    /// stay inside measured phases.
+    /// The request's phase trace, running since frame decode; rides to the
+    /// worker and back so queue/handoff latencies stay inside measured
+    /// phases. Always `Some` until the worker's writer takes it.
     trace: Option<Box<ReqTrace>>,
 }
 
@@ -848,54 +760,23 @@ pub struct Server {
     wake_rx: UnixStream,
     store: Option<Arc<ServerStore>>,
     stats: Arc<ServerStats>,
-    metrics: Arc<ServerMetrics>,
 }
 
-/// A read-only observability handle onto a (possibly running) server:
-/// counters, latency histograms, and a Prometheus-style text rendering.
+/// A read-only observability handle onto a (possibly running) server.
 /// Cheap to clone; obtained from [`Server::stats_handle`] before `run`
 /// consumes the server, and usable from any thread while it runs.
 #[derive(Clone)]
 pub struct StatsHandle {
     stats: Arc<ServerStats>,
-    metrics: Arc<ServerMetrics>,
     registry: Arc<Registry>,
     store: Option<Arc<ServerStore>>,
 }
 
 impl StatsHandle {
-    /// The counter rows a `Stats` wire response would carry, ascending by
-    /// name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        collect_stats(&self.stats, &self.registry, self.store.as_deref())
-    }
-
-    /// Render every counter and histogram in the Prometheus text format
-    /// (`examples/serve.rs` prints this for the `stats` stdin command and
-    /// the periodic dump).
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in self.counters() {
-            // Every row is rendered as a gauge: several (uptime, levels,
-            // highwaters) genuinely are, and a scraper can rate() either.
-            xdx_obs::prom::scalar(&mut out, &name, value, true);
-        }
-        for row in collect_histograms(&self.metrics, self.store.as_deref()) {
-            let snap = HistogramSnapshot::from_sparse(
-                row.count,
-                row.sum,
-                row.min,
-                row.max,
-                row.buckets.iter().copied(),
-            );
-            xdx_obs::prom::histogram(&mut out, &row.name, Unit::from_tag(row.unit), &snap);
-        }
-        out
-    }
-
-    /// How many requests crossed the slow threshold so far.
-    pub fn slow_requests(&self) -> u64 {
-        self.stats.slow_requests.load(Ordering::Relaxed)
+    /// The rows a `Stats` reply would carry right now. Render them with
+    /// [`StatsSnapshot::render_prometheus`], as a remote scrape would.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        self.stats.snapshot(&self.registry, self.store.as_deref())
     }
 }
 
@@ -985,7 +866,6 @@ impl Server {
             wake_rx,
             store,
             stats: Arc::new(ServerStats::new()),
-            metrics: Arc::new(ServerMetrics::new()),
         })
     }
 
@@ -994,12 +874,10 @@ impl Server {
         Arc::clone(&self.control)
     }
 
-    /// An observability handle that outlives [`Server::run`] (counters,
-    /// histograms, Prometheus rendering).
+    /// An observability handle that outlives [`Server::run`].
     pub fn stats_handle(&self) -> StatsHandle {
         StatsHandle {
             stats: Arc::clone(&self.stats),
-            metrics: Arc::clone(&self.metrics),
             registry: Arc::clone(&self.registry),
             store: self.store.clone(),
         }
@@ -1023,13 +901,11 @@ impl Server {
             wake_rx,
             store,
             stats,
-            metrics,
         } = self;
         let shared = Arc::new(Shared::new());
         let registry = &registry;
         let store = &store;
         let stats = &stats;
-        let metrics = &metrics;
         let result = std::thread::scope(|scope| {
             // The epoll instance is created *before* any worker spawns, so
             // an early `?` cannot leave workers waiting forever.
@@ -1039,15 +915,7 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 let control = Arc::clone(&control);
                 scope.spawn(move || {
-                    worker_loop(
-                        registry,
-                        store.as_deref(),
-                        stats,
-                        metrics,
-                        config,
-                        &shared,
-                        &control,
-                    )
+                    worker_loop(registry, store.as_deref(), stats, config, &shared, &control)
                 });
             }
             let mut event_loop = EventLoop {
@@ -1057,8 +925,8 @@ impl Server {
                 wake_rx,
                 control: &control,
                 shared: &shared,
+                registry,
                 stats,
-                metrics,
                 epoll,
                 conns: Vec::new(),
                 free_slots: Vec::new(),
@@ -1095,7 +963,6 @@ fn worker_loop(
     registry: &Registry,
     store: Option<&ServerStore>,
     stats: &ServerStats,
-    metrics: &ServerMetrics,
     config: &ServerConfig,
     shared: &Shared,
     control: &ServerControl,
@@ -1129,10 +996,16 @@ fn worker_loop(
             }
             // `Stats` aggregates server-wide counters — it addresses no
             // setting, so it never resolves (or compiles) one.
-            RequestBody::Stats => writer.whole(ResponseBody::StatsOk {
-                counters: collect_stats(stats, registry, store),
-                histograms: collect_histograms(metrics, store),
-            }),
+            RequestBody::Stats => {
+                let StatsSnapshot {
+                    counters,
+                    histograms,
+                } = stats.snapshot(registry, store);
+                writer.whole(ResponseBody::StatsOk {
+                    counters,
+                    histograms,
+                });
+            }
             body => {
                 // Resolve the addressed compiled setting: an LRU/cache
                 // hit is an `Arc` clone; a cold binding recompiles from
@@ -1165,14 +1038,8 @@ fn worker_loop(
                 // chased (store mutations, gets) record nothing.
                 let c = scratch.counters;
                 if c.chase_steps > 0 {
-                    metrics
-                        .global
-                        .histogram(HIST_CHASE_STEPS)
-                        .record(c.chase_steps);
-                    metrics
-                        .global
-                        .histogram(HIST_CHASE_REPAIRS)
-                        .record(c.chase_repairs);
+                    stats.chase_steps.record(c.chase_steps);
+                    stats.chase_repairs.record(c.chase_repairs);
                 }
                 stats
                     .assign_highwater
@@ -1308,8 +1175,8 @@ impl<'w> ResponseWriter<'w> {
         writer
     }
 
-    /// Charge the elapsed-since-last-mark to `phase`. No-op when the
-    /// request is untraced (instrumentation off).
+    /// Charge the elapsed-since-last-mark to `phase`. No-op once the final
+    /// segment has handed the trace back.
     fn step(&mut self, phase: usize) {
         if let Some(t) = &mut self.trace {
             t.trace.step(phase);
@@ -1795,8 +1662,8 @@ struct EventLoop<'e> {
     wake_rx: UnixStream,
     control: &'e ServerControl,
     shared: &'e Shared,
+    registry: &'e Registry,
     stats: &'e ServerStats,
-    metrics: &'e ServerMetrics,
     epoll: Epoll,
     conns: Vec<Option<Conn>>,
     free_slots: Vec<usize>,
@@ -2163,11 +2030,7 @@ impl EventLoop<'_> {
         // Start the clock before the frame decode so the decode phase
         // covers it; inline answers (Ping/Hello/errors) drop the trace —
         // only pool-dispatched requests are measured.
-        let mut trace = if self.config.instrumentation {
-            Some(Trace::new())
-        } else {
-            None
-        };
+        let mut trace = Trace::new();
         let codec = self
             .conns
             .get(slot)
@@ -2176,9 +2039,7 @@ impl EventLoop<'_> {
             .unwrap_or_default();
         let request = match wire::decode_request(payload, self.config.max_docs_per_request, codec) {
             Ok(request) => {
-                if let Some(t) = &mut trace {
-                    t.step(PHASE_DECODE);
-                }
+                trace.step(PHASE_DECODE);
                 request
             }
             Err(DecodeError { id, error }) => {
@@ -2285,13 +2146,11 @@ impl EventLoop<'_> {
             slot,
             generation: conn.generation,
             codec: conn.codec,
-            trace: trace.map(|t| {
-                Box::new(ReqTrace {
-                    op: request.body.op() as u8,
-                    setting: request.setting_id,
-                    trace: t,
-                })
-            }),
+            trace: Some(Box::new(ReqTrace {
+                op: request.body.op() as u8,
+                setting: request.setting_id,
+                trace,
+            })),
             frame: request,
         };
         self.shared
@@ -2481,14 +2340,16 @@ impl EventLoop<'_> {
     /// wall-clock total into the request's `(op, setting)` histogram set,
     /// and emit the rate-limited slow-request log line when the wall time
     /// crosses [`ServerConfig::slow_request_threshold`].
-    // Traces travel boxed (an `Option<Box<_>>` on every job keeps the
-    // uninstrumented path to one pointer); take the box whole here rather
+    // Traces travel boxed (see `ReqTrace`); take the box whole here rather
     // than re-flatten it at the last hop.
     #[allow(clippy::boxed_local)]
     fn finalize_trace(&self, mut t: Box<ReqTrace>) {
         t.trace.step(PHASE_FLUSH);
         let wall = t.trace.wall_ns();
-        let set = self.metrics.phase_set(t.op, t.setting);
+        // Only a bound id gets its own key: bindings are capped and never
+        // removed, so requests naming arbitrary ids cannot grow the table.
+        let key = Some(t.setting).filter(|&id| self.registry.is_bound(id));
+        let set = self.stats.phase_set(t.op, key);
         for i in 0..PHASE_NAMES.len() {
             let ns = t.trace.phase_ns(i);
             if ns > 0 {
@@ -2502,7 +2363,7 @@ impl EventLoop<'_> {
             .is_some_and(|th| wall >= th.as_nanos() as u64);
         if slow {
             self.stats.slow_requests.fetch_add(1, Ordering::Relaxed);
-            if self.metrics.slow_log_permit() {
+            if self.stats.slow_log_permit() {
                 let op = OpCode::from_u8(t.op).map(OpCode::name).unwrap_or("unknown");
                 let mut phases = String::new();
                 for (i, name) in PHASE_NAMES.iter().enumerate() {

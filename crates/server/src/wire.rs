@@ -774,7 +774,7 @@ pub enum ResponseBody {
 /// One typed histogram row of a `Stats` response: a sparse snapshot of an
 /// [`xdx_obs::Histogram`] — summary moments plus the non-zero log₂ buckets
 /// (`(bucket index, count)`, ascending by index). Reconstruct quantiles
-/// client-side with [`xdx_obs::HistogramSnapshot::from_sparse`].
+/// client-side from [`StatsHistogram::snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsHistogram {
     /// Metric name (`req.{op}.s{setting}.{phase}`, `store.fsync`, …).
@@ -794,6 +794,20 @@ pub struct StatsHistogram {
     /// ascending index below [`xdx_obs::BUCKETS`] (the decoder rejects any
     /// other row).
     pub buckets: Vec<(u8, u64)>,
+}
+
+impl StatsHistogram {
+    /// The row as a dense [`xdx_obs::HistogramSnapshot`], for percentiles
+    /// and rendering.
+    pub fn snapshot(&self) -> xdx_obs::HistogramSnapshot {
+        xdx_obs::HistogramSnapshot::from_sparse(
+            self.count,
+            self.sum,
+            self.min,
+            self.max,
+            self.buckets.iter().copied(),
+        )
+    }
 }
 
 /// Response status: success, body follows.

@@ -147,7 +147,7 @@ fn main() {
                     Ok(0) => break, // stdin closed
                     Ok(_) if line.trim() == "drain" => break,
                     Ok(_) if line.trim() == "stats" => {
-                        print!("{}", stats_handle.render_prometheus());
+                        print!("{}", stats_handle.snapshot().render_prometheus());
                     }
                     Ok(_) => {}
                     Err(_) => break,
@@ -162,7 +162,7 @@ fn main() {
         let period = std::time::Duration::from_secs(secs.max(1));
         std::thread::spawn(move || loop {
             std::thread::sleep(period);
-            print!("{}", stats_handle.render_prometheus());
+            print!("{}", stats_handle.snapshot().render_prometheus());
         });
     }
     server.run().expect("event loop");

@@ -1,13 +1,14 @@
 //! Tests for the `xdx-obs` observability core: concurrent recording,
-//! shard-merge determinism, bucket boundary properties, and the
-//! construction-time name-ordering contract of [`MetricRegistry`].
+//! shard-merge determinism, bucket boundary properties, sparse wire-form
+//! round trips, and phase-trace accounting. The ascending-name contract of
+//! the server's `Stats` rows is pinned where those rows are built, in
+//! `tests/server_integration.rs`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xml_data_exchange::obs::{
-    bucket_lower, bucket_of, bucket_upper, Histogram, HistogramSnapshot, MetricRegistry, Trace,
-    Unit, BUCKETS,
+    bucket_lower, bucket_of, bucket_upper, Histogram, HistogramSnapshot, Trace, BUCKETS,
 };
 
 /// Concurrent recording into one histogram loses nothing: count and sum
@@ -104,44 +105,6 @@ fn sparse_rebuild_and_percentiles_saturate() {
     let spread = HistogramSnapshot::from_sparse(u64::MAX, 0, 1, 8, [(1, u64::MAX - 1), (2, 7)]);
     assert_eq!(spread.p50(), bucket_upper(1));
     assert_eq!(spread.percentile(100.0), bucket_upper(2));
-}
-
-/// A registry built with out-of-order names must fail loudly at
-/// construction — that is the invariant exporters skip re-checking.
-#[test]
-#[should_panic(expected = "strictly ascending")]
-fn registry_rejects_unsorted_names() {
-    let _ = MetricRegistry::new(&["b.second", "a.first"], &[], &[]);
-}
-
-/// Duplicate names are not "ascending" either.
-#[test]
-#[should_panic(expected = "strictly ascending")]
-fn registry_rejects_duplicate_names() {
-    let _ = MetricRegistry::new(&[], &[], &[("x", Unit::Count), ("x", Unit::Nanos)]);
-}
-
-/// Rows come back in construction (= name) order without sorting.
-#[test]
-fn registry_rows_walk_in_name_order() {
-    let reg = MetricRegistry::new(
-        &["a", "b"],
-        &["g"],
-        &[("h.one", Unit::Nanos), ("h.two", Unit::Bytes)],
-    );
-    reg.counter(reg.counter_index("b").unwrap()).add(3);
-    reg.histogram(reg.histogram_index("h.two").unwrap())
-        .record(9);
-    let counters: Vec<(&str, u64)> = reg.counter_rows().collect();
-    assert_eq!(counters, vec![("a", 0), ("b", 3)]);
-    let hists: Vec<(&str, Unit, u64)> = reg
-        .histogram_rows()
-        .map(|(n, u, s)| (n, u, s.count))
-        .collect();
-    assert_eq!(
-        hists,
-        vec![("h.one", Unit::Nanos, 0), ("h.two", Unit::Bytes, 1)]
-    );
 }
 
 /// A trace charges every phase boundary and totals its phases.

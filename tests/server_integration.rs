@@ -7,7 +7,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use xdx_server::wire::ErrorCode;
-use xdx_server::{Client, ClientError, RequestBody, ResponseBody, Server, ServerConfig};
+use xdx_server::{
+    Client, ClientError, RequestBody, ResponseBody, Server, ServerConfig, StatsHandle,
+    StatsSnapshot,
+};
 use xml_data_exchange::core::certain::certain_answers_boolean;
 use xml_data_exchange::core::setting::books_to_writers_setting;
 use xml_data_exchange::patterns::{parse_pattern, ConjunctiveTreeQuery, UnionQuery};
@@ -23,6 +26,15 @@ fn with_server(
     config: ServerConfig,
     f: impl FnOnce(std::net::SocketAddr, &Path),
 ) {
+    with_stats_server(setting, config, |addr, sock, _| f(addr, sock));
+}
+
+/// [`with_server`], also handing `f` the server's [`StatsHandle`].
+fn with_stats_server(
+    setting: &DataExchangeSetting,
+    config: ServerConfig,
+    f: impl FnOnce(std::net::SocketAddr, &Path, &StatsHandle),
+) {
     let dir: PathBuf = std::env::temp_dir().join(format!(
         "xdx-server-test-{}-{}",
         std::process::id(),
@@ -35,12 +47,14 @@ fn with_server(
             Server::bind(setting, Some("127.0.0.1:0"), Some(&sock), config).expect("bind server");
         let addr = server.tcp_addr().expect("tcp bound");
         let control = server.control();
+        let stats = server.stats_handle();
         let handle = scope.spawn(move || server.run());
         // The listeners exist as soon as bind returned; no wait needed.
         // Shut the server down even when `f` panics: `thread::scope` joins
         // its threads before propagating the panic, so a still-running
         // server would turn an assertion failure into a silent hang.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(addr, &sock)));
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(addr, &sock, &stats)));
         control.shutdown();
         handle.join().expect("server thread").expect("clean run");
         if let Err(panic) = result {
@@ -1081,5 +1095,126 @@ fn stats_v2_phase_histograms_cover_request_wall_time() {
         // The counters ride along, via the typed accessor.
         assert!(stats.counter("server.accepted_conns").unwrap() >= 1);
         assert_eq!(stats.counter("server.slow_requests"), Some(0));
+    });
+}
+
+/// The row names of a snapshot: counters, then histograms.
+fn row_names(stats: &StatsSnapshot) -> (Vec<&str>, Vec<&str>) {
+    (
+        stats.counters.iter().map(|(n, _)| n.as_str()).collect(),
+        stats.histograms.iter().map(|h| h.name.as_str()).collect(),
+    )
+}
+
+/// One snapshot feeds the `Stats` reply, the in-process handle and the
+/// Prometheus text: on a store-backed server that has served shipped and
+/// stored ops, both row lists arrive strictly ascending (hence unique),
+/// the handle carries the same names, and the Prometheus text of either
+/// has a line for every row.
+#[test]
+fn stats_rows_ascend_and_one_snapshot_feeds_wire_handle_and_prometheus() {
+    use xml_data_exchange::obs::{prom::sanitize, Unit};
+    let setting = books_to_writers_setting();
+    let dir = std::env::temp_dir().join(format!(
+        "xdx-server-stats-rows-{}-{}",
+        std::process::id(),
+        DIR_COUNTER.fetch_add(1, Ordering::SeqCst)
+    ));
+    with_stats_server(&setting, store_config(&dir), |addr, _, handle| {
+        let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
+        let docs = sources(3);
+        client.canonical_solution_texts(&docs).unwrap();
+        client.check_consistency(&docs).unwrap();
+        client.put_doc(1, &docs[2]).unwrap();
+        client.canonical_solution_stored(1).unwrap().unwrap();
+        client
+            .certain_answers_stored(&title_query(), 1)
+            .unwrap()
+            .unwrap();
+        // The first `Stats` is recorded under its own key once it is
+        // flushed; the second reply and the handle then see the same rows.
+        client.stats().unwrap();
+        let wire = client.stats().unwrap();
+        let (counters, histograms) = row_names(&wire);
+        for names in [&counters, &histograms] {
+            assert!(
+                names.windows(2).all(|w| w[0] < w[1]),
+                "rows must be strictly ascending: {names:?}"
+            );
+        }
+        for name in [
+            "server.accepted_conns",
+            "store.dirty_nodes",
+            "store.cache_misses",
+        ] {
+            assert!(counters.contains(&name), "missing counter {name}");
+        }
+        assert!(!counters.contains(&"store.dirty_docs"));
+        for name in [
+            "engine.chase_steps",
+            "req.solution.s0.total",
+            "req.solution_stored.s0.total",
+            "store.fsync",
+        ] {
+            assert!(histograms.contains(&name), "missing histogram {name}");
+        }
+
+        let local = handle.snapshot();
+        assert_eq!(row_names(&local), (counters, histograms));
+
+        for stats in [&wire, &local] {
+            let text = stats.render_prometheus();
+            let lines: Vec<&str> = text.lines().collect();
+            for (name, value) in &stats.counters {
+                let line = format!("{} {value}", sanitize(name));
+                assert!(lines.contains(&line.as_str()), "no line {line:?}");
+            }
+            for h in &stats.histograms {
+                let suffix = match Unit::from_tag(h.unit) {
+                    Unit::Nanos => "_ns",
+                    Unit::Count => "",
+                    Unit::Bytes => "_bytes",
+                };
+                let line = format!("{}{suffix}_count {}", sanitize(&h.name), h.count);
+                assert!(lines.contains(&line.as_str()), "no line {line:?}");
+            }
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Requests naming ids no setting is bound to share one `unbound` key, so
+/// a client cycling through ids cannot grow the phase table (or every
+/// `Stats` reply) without limit. Bound ids keep their `s{id}` keys.
+#[test]
+fn unbound_setting_ids_share_one_phase_key() {
+    let setting = books_to_writers_setting();
+    with_server(&setting, ServerConfig::default(), |addr, _| {
+        let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
+        let docs = sources(2);
+        client.canonical_solution_texts(&docs).unwrap();
+        client.stats().unwrap();
+        let before = client.stats().unwrap().histograms.len();
+        for id in 1000..1200 {
+            client.set_setting(id);
+            match client.canonical_solution_texts(&docs) {
+                Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::UnknownSetting),
+                other => panic!("expected UnknownSetting, got {other:?}"),
+            }
+        }
+        client.set_setting(0);
+        let after = client.stats().unwrap();
+        // One key holds at most the eight phases plus its total.
+        assert!(
+            after.histograms.len() <= before + 9,
+            "{before} rows grew to {}",
+            after.histograms.len()
+        );
+        assert_eq!(
+            after.histogram("req.solution.unbound.total").unwrap().count,
+            200
+        );
+        assert!(after.histogram("req.solution.s0.total").is_some());
+        assert!(after.histograms.iter().all(|h| !h.name.contains(".s1000.")));
     });
 }
