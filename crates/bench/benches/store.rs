@@ -9,23 +9,16 @@
 //!   full deferred cost, for honesty about what lazy loading postpones.
 //! * `wal_replay/*` — replay throughput of an edit-heavy WAL over a
 //!   snapshot-less directory (the crash-recovery path).
-//! * `revalidate/*` — conformance re-validation after a single-node edit:
-//!   the store's `O(dirty)` incremental check vs a full document re-scan.
-//! * `rechase/*` — chase re-validation after a single-node edit: the
-//!   dirty-seeded `chase_incremental` vs a full worklist re-chase. The
-//!   randomized differential in `tests/store.rs` proves the verdicts
-//!   identical; this experiment prices the asymptotic gap.
 //!
 //! `XDX_BENCH_FAST=1` shrinks sampling and sizes for the CI smoke step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use xdx_bench::{chase_setting, chase_tree, clio_source};
-use xdx_core::compiled::CompiledSetting;
+use xdx_bench::clio_source;
 use xdx_store::{DocEdit, DocStore, StoreConfig, SyncPolicy};
 use xdx_xmltree::binary::{decode_tree, encode_tree};
-use xdx_xmltree::{parse_tree, tree_to_text, NullGen, XmlTree};
+use xdx_xmltree::{parse_tree, tree_to_text, XmlTree};
 
 fn fast_mode() -> bool {
     std::env::var("XDX_BENCH_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
@@ -157,117 +150,8 @@ fn bench(c: &mut Criterion) {
         },
     );
 
-    // -- revalidate: O(dirty) conformance check vs full re-scan -------------
-    let setting = chase_setting();
-    let compiled = CompiledSetting::new(&setting);
-    let dtd = setting.target_dtd.clone();
-    let chase_nodes = if fast { 512 } else { 4096 };
-    let mut clean = chase_tree("repair_light", chase_nodes);
-    let mut nulls = NullGen::new();
-    compiled
-        .chase(&mut clean, &mut nulls)
-        .expect("repair_light chases clean");
-    // Rank 1 is the first `sec`: both rows flip its `@id` between two
-    // constants, a conforming single-node edit.
-    let store_dir = fresh_dir("revalidate");
-    let mut store: DocStore = DocStore::open(config(&store_dir)).unwrap();
-    store.put(1, clean.clone()).unwrap();
-    store.validate(1, dtd.compiled()).unwrap();
-    let mut flip = 0u64;
-    group.bench_function(
-        BenchmarkId::new("revalidate/incremental", chase_nodes),
-        |b| {
-            b.iter(|| {
-                flip += 1;
-                store
-                    .edit(
-                        1,
-                        0,
-                        &[DocEdit::SetAttr {
-                            node: 1,
-                            name: "@id".into(),
-                            value: if flip.is_multiple_of(2) {
-                                "a".into()
-                            } else {
-                                "b".into()
-                            },
-                        }],
-                    )
-                    .expect("edit applies");
-                store.validate(1, dtd.compiled()).expect("doc resident")
-            })
-        },
-    );
-    let mut full_tree = clean.clone();
-    let mut full_order = None;
-    group.bench_function(BenchmarkId::new("revalidate/full", chase_nodes), |b| {
-        b.iter(|| {
-            flip += 1;
-            xdx_store::apply_edits(
-                &mut full_tree,
-                &mut full_order,
-                &[DocEdit::SetAttr {
-                    node: 1,
-                    name: "@id".into(),
-                    value: if flip.is_multiple_of(2) {
-                        "a".into()
-                    } else {
-                        "b".into()
-                    },
-                }],
-            )
-            .expect("edit applies");
-            dtd.compiled().conforms(&full_tree)
-        })
-    });
-
-    // -- rechase: dirty-seeded incremental chase vs full re-chase -----------
-    // Each iteration removes `@id` from one `sec`; the chase must re-invent
-    // it (a real `ChangeAtt` repair), so both rows do one unit of repair
-    // work — the difference is pure traversal.
-    let mut inc_tree = clean.clone();
-    let mut inc_nulls = NullGen::starting_at(1 << 40);
-    let mut inc_order = None;
-    group.bench_function(BenchmarkId::new("rechase/incremental", chase_nodes), |b| {
-        b.iter(|| {
-            let applied = xdx_store::apply_edits(
-                &mut inc_tree,
-                &mut inc_order,
-                &[DocEdit::RemoveAttr {
-                    node: 1,
-                    name: "@id".into(),
-                }],
-            )
-            .expect("sec 1 carries @id");
-            compiled
-                .chase_incremental(&mut inc_tree, &mut inc_nulls, &applied.dirty)
-                .expect("chase repairs the removal");
-            inc_tree.arena_len()
-        })
-    });
-    let mut full_chase_tree = clean.clone();
-    let mut full_chase_nulls = NullGen::starting_at(1 << 40);
-    let mut full_chase_order = None;
-    group.bench_function(BenchmarkId::new("rechase/full", chase_nodes), |b| {
-        b.iter(|| {
-            xdx_store::apply_edits(
-                &mut full_chase_tree,
-                &mut full_chase_order,
-                &[DocEdit::RemoveAttr {
-                    node: 1,
-                    name: "@id".into(),
-                }],
-            )
-            .expect("sec 1 carries @id");
-            compiled
-                .chase(&mut full_chase_tree, &mut full_chase_nulls)
-                .expect("chase repairs the removal");
-            full_chase_tree.arena_len()
-        })
-    });
-
     group.finish();
-    for dir in [snap_dir, wal_dir, store_dir] {
+    for dir in [snap_dir, wal_dir] {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

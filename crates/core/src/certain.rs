@@ -24,14 +24,6 @@ pub struct CertainAnswers {
     pub solution: XmlTree,
 }
 
-impl CertainAnswers {
-    /// For Boolean queries: is the certain answer `true`?
-    pub fn as_boolean(&self) -> bool {
-        // A Boolean query returns the empty tuple when it holds.
-        self.tuples.iter().any(|t| t.is_empty()) || !self.tuples.is_empty()
-    }
-}
-
 /// Compute `certain(Q, T)` by building the canonical solution and evaluating
 /// the query over it (Lemma 6.5 / Theorem 6.2, tractable side).
 ///

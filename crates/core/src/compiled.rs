@@ -507,13 +507,7 @@ impl<'s> CompiledSetting<'s> {
         nulls: &mut NullGen,
         budget: usize,
     ) -> Result<(), SolutionError> {
-        // Seed with every reachable node in document order.
-        let queue: VecDeque<NodeId> = tree.preorder().collect();
-        let mut queued = vec![false; tree.arena_len()];
-        for &n in &queue {
-            queued[n.index()] = true;
-        }
-        self.chase_seeded(tree, nulls, budget, queue, queued, None)
+        self.chase_worklist(tree, nulls, budget, None)
     }
 
     /// As [`CompiledSetting::chase`], but charging pops and applied repairs
@@ -528,87 +522,24 @@ impl<'s> CompiledSetting<'s> {
         nulls: &mut NullGen,
         counters: &mut EngineCounters,
     ) -> Result<(), SolutionError> {
-        let budget = chase_budget(tree.size());
-        let queue: VecDeque<NodeId> = tree.preorder().collect();
+        self.chase_worklist(tree, nulls, chase_budget(tree.size()), Some(counters))
+    }
+
+    /// The worklist chase proper, shared by the plain and counted entry
+    /// points: seeds the queue with every reachable node in document order
+    /// and pops until the seeded-plus-cascaded queue drains.
+    fn chase_worklist(
+        &self,
+        tree: &mut XmlTree,
+        nulls: &mut NullGen,
+        budget: usize,
+        mut counters: Option<&mut EngineCounters>,
+    ) -> Result<(), SolutionError> {
+        let mut queue: VecDeque<NodeId> = tree.preorder().collect();
         let mut queued = vec![false; tree.arena_len()];
         for &n in &queue {
             queued[n.index()] = true;
         }
-        self.chase_seeded(tree, nulls, budget, queue, queued, Some(counters))
-    }
-
-    /// Re-chase an **already chase-clean** tree after node-local edits,
-    /// visiting only the dirty region: the worklist is seeded from `dirty`
-    /// instead of the full preorder, so the cost is `O(|dirty| + repairs)`
-    /// rather than `O(|tree|)` — the `xdx-store` re-validation fast path.
-    ///
-    /// Soundness precondition (the caller's contract, *not* checked here):
-    /// `tree` must previously have chased clean (a full [`CompiledSetting::chase`]
-    /// returned `Ok`), and since then only node-local mutations covered by
-    /// `dirty` may have occurred. `dirty` must contain every node whose
-    /// attribute set or child list changed — in particular the *parent* of
-    /// every inserted or removed child, and every newly inserted node
-    /// itself. Both chase steps are local to one node (`ChangeAtt` reads
-    /// and writes only the node's own attributes, `ChangeReg` only its
-    /// child multiset), so nodes outside the seeded set — clean before the
-    /// edits and untouched by them — cannot have become violating; any
-    /// repair cascade *started* inside the dirty region is followed
-    /// normally via re-enqueueing. On a tree that never chased clean the
-    /// call is still safe (it never mis-repairs), but it may miss
-    /// violations outside the seeded region — the randomized differential
-    /// in `tests/store.rs` pins this path against a full re-chase from a
-    /// re-parse.
-    ///
-    /// Stale ids are tolerated: a dirty node that was detached (e.g. a
-    /// removed child) expires when popped, exactly like a merged-away
-    /// child in the full chase.
-    pub fn chase_incremental(
-        &self,
-        tree: &mut XmlTree,
-        nulls: &mut NullGen,
-        dirty: &[NodeId],
-    ) -> Result<(), SolutionError> {
-        // Budget from the arena length, not `size()`: arena_len ≥ size and
-        // is O(1), where a `size()` traversal would put an O(document) cost
-        // back into the O(dirty) path this entry point exists for.
-        self.chase_incremental_with_budget(tree, nulls, dirty, chase_budget(tree.arena_len()))
-    }
-
-    /// As [`CompiledSetting::chase_incremental`] with an explicit step
-    /// budget (same counting rules as [`CompiledSetting::chase_with_budget`]).
-    pub fn chase_incremental_with_budget(
-        &self,
-        tree: &mut XmlTree,
-        nulls: &mut NullGen,
-        dirty: &[NodeId],
-        budget: usize,
-    ) -> Result<(), SolutionError> {
-        let mut queued = vec![false; tree.arena_len()];
-        let mut queue: VecDeque<NodeId> = VecDeque::with_capacity(dirty.len());
-        for &n in dirty {
-            assert!(
-                n.index() < tree.arena_len(),
-                "dirty node id outside the tree's arena"
-            );
-            if !queued[n.index()] {
-                queued[n.index()] = true;
-                queue.push_back(n);
-            }
-        }
-        self.chase_seeded(tree, nulls, budget, queue, queued, None)
-    }
-
-    /// The worklist chase proper, shared by the full and incremental entry
-    /// points: pops until the seeded-plus-cascaded queue drains.
-    fn chase_seeded(
-        &self,
-        tree: &mut XmlTree,
-        nulls: &mut NullGen,
-        budget: usize,
-        mut queue: VecDeque<NodeId>,
-        mut queued: Vec<bool>,
-        mut counters: Option<&mut EngineCounters>,
-    ) -> Result<(), SolutionError> {
         let repair_config = RepairConfig::default();
         let mut steps = 0usize;
         // The children multiset is accumulated in a `Sym`-indexed dense
@@ -1217,92 +1148,6 @@ mod tests {
             check_consistency_general_reference(&setting)
         );
         assert!(!compiled.check_consistency().consistent);
-    }
-
-    /// A setting whose target DTD forces repairs: every `writer` must carry
-    /// `@name` and exactly one `work` child.
-    fn repair_forcing_setting() -> DataExchangeSetting {
-        let source_dtd = Dtd::builder("db").rule("db", "eps").build().unwrap();
-        let target_dtd = Dtd::builder("bib")
-            .rule("bib", "writer*")
-            .rule("writer", "work")
-            .attributes("writer", ["@name"])
-            .attributes("work", ["@title"])
-            .build()
-            .unwrap();
-        DataExchangeSetting::new(source_dtd, target_dtd, vec![])
-    }
-
-    #[test]
-    fn incremental_chase_repairs_the_dirty_region_of_a_clean_tree() {
-        let setting = repair_forcing_setting();
-        let compiled = CompiledSetting::new(&setting);
-        let mut nulls = NullGen::new();
-        let mut tree = XmlTree::new("bib");
-        let w = tree.add_child(tree.root(), "writer");
-        tree.set_attr(w, "@name", "n");
-        let k = tree.add_child(w, "work");
-        tree.set_attr(k, "@title", "t");
-        compiled.chase(&mut tree, &mut nulls).unwrap();
-        let clean_size = tree.size();
-        assert_eq!(clean_size, 3, "the hand-built tree is already chase-clean");
-
-        // Edit: a bare writer appears under the root. The dirty set is the
-        // edited parent plus the inserted node.
-        let root = tree.root();
-        let fresh = tree.insert_child(root, 0, "writer");
-        compiled
-            .chase_incremental(&mut tree, &mut nulls, &[root, fresh])
-            .unwrap();
-        // The chase must have filled @name and created the mandatory work
-        // child (with its own @title) — exactly what a full re-chase does.
-        assert!(tree.attr(fresh, &"@name".into()).is_some());
-        assert_eq!(tree.children(fresh).len(), 1);
-        assert!(compiled.target_dtd().conforms_unordered(&tree));
-        let mut full = tree.clone();
-        compiled.chase(&mut full, &mut nulls).unwrap();
-        assert_eq!(full.size(), tree.size(), "full re-chase finds nothing left");
-    }
-
-    #[test]
-    fn incremental_chase_reports_unrepairable_edits() {
-        let setting = repair_forcing_setting();
-        let compiled = CompiledSetting::new(&setting);
-        let mut nulls = NullGen::new();
-        let mut tree = XmlTree::new("bib");
-        compiled.chase(&mut tree, &mut nulls).unwrap();
-        // An undeclared child label dooms its parent: no multiset containing
-        // it is repairable.
-        let root = tree.root();
-        let bogus = tree.insert_child(root, 0, "bogus");
-        let err = compiled
-            .chase_incremental(&mut tree, &mut nulls, &[root, bogus])
-            .unwrap_err();
-        assert!(
-            matches!(err, SolutionError::NoRepair { ref element } if element.as_str() == "bib"),
-            "unexpected error: {err:?}"
-        );
-    }
-
-    #[test]
-    fn incremental_chase_tolerates_stale_dirty_ids() {
-        let setting = repair_forcing_setting();
-        let compiled = CompiledSetting::new(&setting);
-        let mut nulls = NullGen::new();
-        let mut tree = XmlTree::new("bib");
-        let w = tree.add_child(tree.root(), "writer");
-        tree.set_attr(w, "@name", "n");
-        let k = tree.add_child(w, "work");
-        tree.set_attr(k, "@title", "t");
-        compiled.chase(&mut tree, &mut nulls).unwrap();
-        // Remove the writer subtree; the detached ids stay in the arena and
-        // may legitimately appear in a caller's dirty set.
-        let root = tree.root();
-        tree.detach_child(root, w);
-        compiled
-            .chase_incremental(&mut tree, &mut nulls, &[root, w, k])
-            .unwrap();
-        assert!(compiled.target_dtd().conforms_unordered(&tree));
     }
 
     #[test]

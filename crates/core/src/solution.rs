@@ -26,7 +26,6 @@ use std::fmt;
 use xdx_patterns::eval::{all_matches_reference, holds_reference, Assignment};
 use xdx_patterns::{LabelTest, Term, TreePattern};
 use xdx_relang::repair::{RepairConfig, RepairContext};
-use xdx_relang::Regex;
 use xdx_xmltree::{AttrName, ElementType, NodeId, NullGen, Value, XmlTree};
 
 /// Errors raised while building canonical (pre-)solutions.
@@ -581,15 +580,6 @@ pub fn is_solution_reference(
         }
     }
     true
-}
-
-/// Convenience: does the (erased) pattern of a regular expression appear in
-/// the content model? Exposed for white-box tests of the chase.
-pub fn content_model_of(
-    setting: &DataExchangeSetting,
-    element: &ElementType,
-) -> Regex<ElementType> {
-    setting.target_dtd.rule(element)
 }
 
 #[cfg(test)]

@@ -37,11 +37,6 @@ impl StateMask {
         }
     }
 
-    /// Number of `u64` blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Insert state `q`.
     pub fn insert(&mut self, q: StateId) {
         self.blocks[q / 64] |= 1u64 << (q % 64);
@@ -275,11 +270,6 @@ impl<S: Alphabet> BitsetNfa<S> {
     /// ε-closure of a single state.
     pub fn state_closure(&self, q: StateId) -> &StateMask {
         &self.state_closure[q]
-    }
-
-    /// The accepting-state mask.
-    pub fn accepting_mask(&self) -> &StateMask {
-        &self.accepting
     }
 
     /// Does the (ε-closed) set contain an accepting state?

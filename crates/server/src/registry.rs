@@ -42,12 +42,7 @@ pub(crate) const DEFAULT_BINDING: u64 = 0;
 /// alias two settings' *cache entries*, and at 64 bits are not a practical
 /// concern for the handful of settings a server hosts.
 fn content_hash(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in text.as_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    xdx_xmltree::fnv1a(text.as_bytes())
 }
 
 /// One setting id → text binding.

@@ -159,12 +159,6 @@ pub struct ServerConfig {
     /// evicted (bindings, their text, and their stored documents survive;
     /// the next request recompiles).
     pub max_compiled_cost: u64,
-    /// Per-setting in-flight admission budget: across all connections, at
-    /// most this many unanswered requests may address one setting id, so a
-    /// flood against one tenant cannot starve the rest. The default equals
-    /// [`ServerConfig::max_inflight_total`], which makes the check
-    /// unobservable while all traffic addresses one setting.
-    pub max_inflight_per_setting: usize,
     /// Close a connection with no unanswered requests, no pending output
     /// and no partial frame after this long without activity, so abandoned
     /// sockets cannot pin `max_connections` slots forever. `None` disables
@@ -200,7 +194,6 @@ impl Default for ServerConfig {
             wal_checkpoint_bytes: xdx_xmltree::limits::DEFAULT_FRAME_BYTES as u64,
             max_settings: 64,
             max_compiled_cost: 64 * xdx_core::settext::MAX_SETTING_TEXT_BYTES as u64,
-            max_inflight_per_setting: 256,
             idle_timeout: Some(Duration::from_secs(60)),
             read_progress_timeout: Some(Duration::from_secs(10)),
             slow_request_threshold: None,
@@ -249,12 +242,11 @@ impl ServerConfig {
     /// bounds the budgets exist to enforce.
     pub fn validate(&self) -> Result<(), ConfigError> {
         use xdx_xmltree::limits::MAX_DOCUMENT_BYTES;
-        let positive: [(&'static str, usize); 9] = [
+        let positive: [(&'static str, usize); 8] = [
             ("max_frame_bytes", self.max_frame_bytes),
             ("max_docs_per_request", self.max_docs_per_request),
             ("max_inflight_per_conn", self.max_inflight_per_conn),
             ("max_inflight_total", self.max_inflight_total),
-            ("max_inflight_per_setting", self.max_inflight_per_setting),
             ("max_connections", self.max_connections),
             ("chunk_bytes", self.chunk_bytes),
             ("max_settings", self.max_settings),
@@ -273,7 +265,7 @@ impl ServerConfig {
                 field: "max_buffered_response_bytes",
             });
         }
-        let capped: [(&'static str, usize, usize); 9] = [
+        let capped: [(&'static str, usize, usize); 8] = [
             ("workers", self.workers, 4096),
             ("max_frame_bytes", self.max_frame_bytes, MAX_DOCUMENT_BYTES),
             (
@@ -283,11 +275,6 @@ impl ServerConfig {
             ),
             ("max_inflight_per_conn", self.max_inflight_per_conn, 1 << 20),
             ("max_inflight_total", self.max_inflight_total, 1 << 20),
-            (
-                "max_inflight_per_setting",
-                self.max_inflight_per_setting,
-                1 << 20,
-            ),
             ("max_connections", self.max_connections, 1 << 20),
             ("max_settings", self.max_settings, 1 << 20),
             ("chunk_bytes", self.chunk_bytes, MAX_DOCUMENT_BYTES),
@@ -468,8 +455,6 @@ struct ServerStats {
     reaped_slow: AtomicU64,
     /// Highest simultaneous in-flight request count ever observed.
     inflight_highwater: AtomicU64,
-    /// Highest in-flight count any single setting ever reached.
-    setting_inflight_highwater: AtomicU64,
     /// Stored-query answers served from the per-document result cache.
     store_cache_hits: AtomicU64,
     /// Stored-query answers that had to be computed.
@@ -506,7 +491,6 @@ impl ServerStats {
             reaped_idle: AtomicU64::new(0),
             reaped_slow: AtomicU64::new(0),
             inflight_highwater: AtomicU64::new(0),
-            setting_inflight_highwater: AtomicU64::new(0),
             store_cache_hits: AtomicU64::new(0),
             store_cache_misses: AtomicU64::new(0),
             slow_requests: AtomicU64::new(0),
@@ -537,10 +521,6 @@ impl ServerStats {
             ("server.inflight_highwater", load(&self.inflight_highwater)),
             ("server.reaped_idle", load(&self.reaped_idle)),
             ("server.reaped_slow", load(&self.reaped_slow)),
-            (
-                "server.setting_inflight_highwater",
-                load(&self.setting_inflight_highwater),
-            ),
             ("server.slow_requests", load(&self.slow_requests)),
             ("server.uptime_secs", self.started.elapsed().as_secs()),
         ];
@@ -569,7 +549,6 @@ impl ServerStats {
                 ("store.cache_hits", load(&self.store_cache_hits)),
                 ("store.cache_misses", load(&self.store_cache_misses)),
                 ("store.degraded", s.is_degraded() as u64),
-                ("store.dirty_nodes", s.dirty_total() as u64),
                 ("store.replay_ns", m.replay_ns),
                 ("store.replayed_records", m.replayed_records),
                 ("store.resident_docs", s.len() as u64),
@@ -666,9 +645,6 @@ struct Job {
 struct Done {
     slot: usize,
     generation: u64,
-    /// The setting the request addressed — releases its per-setting
-    /// admission budget when `last`.
-    setting_id: u64,
     bytes: Vec<u8>,
     last: bool,
     /// The request's trace, handed back with the *final* segment (its
@@ -932,7 +908,6 @@ impl Server {
                 free_slots: Vec::new(),
                 live_conns: 0,
                 total_inflight: 0,
-                inflight_per_setting: HashMap::new(),
                 next_generation: 0,
             };
             let result = event_loop.run();
@@ -1137,7 +1112,6 @@ struct ResponseWriter<'w> {
     slot: usize,
     generation: u64,
     id: u64,
-    setting_id: u64,
     chunk_bytes: usize,
     /// Status of the final segment: [`wire::STATUS_OK`] unless
     /// [`ResponseWriter::whole`] sent a request-level error.
@@ -1162,7 +1136,6 @@ impl<'w> ResponseWriter<'w> {
             slot: job.slot,
             generation: job.generation,
             id: job.frame.id,
-            setting_id: job.frame.setting_id,
             chunk_bytes: chunk_bytes.max(1),
             status: wire::STATUS_OK,
             seg: Vec::new(),
@@ -1230,7 +1203,6 @@ impl<'w> ResponseWriter<'w> {
             .push(Done {
                 slot: self.slot,
                 generation: self.generation,
-                setting_id: self.setting_id,
                 bytes,
                 last,
                 trace,
@@ -1625,9 +1597,7 @@ fn respond(
                         wal_checkpoint_bytes,
                         w,
                         |s| s.edit(DocKey::new(setting, doc_id), base_version, &batch),
-                        |receipt| ResponseBody::EditDocOk {
-                            version: receipt.version,
-                        },
+                        |version| ResponseBody::EditDocOk { version },
                     );
                 }
                 Err(RequestBody::DeleteDoc { doc_id }) => mutate(
@@ -1669,9 +1639,6 @@ struct EventLoop<'e> {
     free_slots: Vec<usize>,
     live_conns: usize,
     total_inflight: usize,
-    /// In-flight requests per addressed setting id (entries removed at
-    /// zero, so the map stays as small as the set of *active* settings).
-    inflight_per_setting: HashMap<u64, usize>,
     next_generation: u64,
 }
 
@@ -2108,14 +2075,7 @@ impl EventLoop<'_> {
             .and_then(Option::as_ref)
             .map(|c| c.inflight >= self.config.max_inflight_per_conn)
             .unwrap_or(true);
-        let over_setting_cap = self
-            .inflight_per_setting
-            .get(&request.setting_id)
-            .is_some_and(|&n| n >= self.config.max_inflight_per_setting);
-        if over_conn_cap
-            || over_setting_cap
-            || self.total_inflight >= self.config.max_inflight_total
-        {
+        if over_conn_cap || self.total_inflight >= self.config.max_inflight_total {
             self.stats.busy_rejected.fetch_add(1, Ordering::Relaxed);
             self.enqueue_response(
                 slot,
@@ -2134,14 +2094,6 @@ impl EventLoop<'_> {
         self.stats
             .inflight_highwater
             .fetch_max(self.total_inflight as u64, Ordering::Relaxed);
-        let setting_inflight = self
-            .inflight_per_setting
-            .entry(request.setting_id)
-            .or_insert(0);
-        *setting_inflight += 1;
-        self.stats
-            .setting_inflight_highwater
-            .fetch_max(*setting_inflight as u64, Ordering::Relaxed);
         let job = Job {
             slot,
             generation: conn.generation,
@@ -2172,12 +2124,6 @@ impl EventLoop<'_> {
         for completion in done {
             if completion.last {
                 self.total_inflight -= 1;
-                if let Some(n) = self.inflight_per_setting.get_mut(&completion.setting_id) {
-                    *n -= 1;
-                    if *n == 0 {
-                        self.inflight_per_setting.remove(&completion.setting_id);
-                    }
-                }
             }
             // Dead connection or recycled slot: the response has no taker,
             // but the work still happened — finalize the trace (its flush

@@ -33,8 +33,8 @@ use std::borrow::Borrow;
 use std::fmt;
 use xdx_core::solution::SolutionError;
 use xdx_patterns::QueryParseError;
-use xdx_xmltree::binary::{BinaryError, ByteSink};
-use xdx_xmltree::{parse_tree, tree_to_text, TreeTextError, XmlTree};
+use xdx_xmltree::binary::ByteSink;
+use xdx_xmltree::{parse_tree, tree_to_text, XmlTree};
 
 /// Hard protocol cap on documents per request (servers may configure a
 /// lower one).
@@ -67,15 +67,6 @@ pub enum Codec {
 }
 
 impl Codec {
-    /// Parse a codec name as used by `XDX_WIRE_CODEC` and CLI flags.
-    pub fn from_name(name: &str) -> Option<Codec> {
-        match name {
-            "text" => Some(Codec::Text),
-            "binary" => Some(Codec::Binary),
-            _ => None,
-        }
-    }
-
     /// The lowercase name (`"text"` / `"binary"`).
     pub fn name(self) -> &'static str {
         match self {
@@ -267,7 +258,7 @@ pub enum ErrorCode {
     UnknownOp = 3,
     /// More documents than the protocol or the server allows.
     TooManyDocs = 4,
-    /// A document failed to parse ([`TreeTextError`]).
+    /// A document failed to parse ([`xdx_xmltree::TreeTextError`]).
     TreeParse = 5,
     /// The query text failed to parse ([`QueryParseError::Syntax`]).
     QuerySyntax = 6,
@@ -307,8 +298,8 @@ pub enum ErrorCode {
     /// The uploaded setting parsed but was rejected by compilation
     /// (semantic validation). v3.
     SettingReject = 20,
-    /// A registry limit was hit (binding count, compiled-cost budget, or
-    /// per-setting admission). v3.
+    /// A registry limit was hit (binding count or compiled-cost budget).
+    /// v3.
     SettingLimit = 21,
     /// The store is in sticky degraded read-only mode after a storage
     /// fault (a failed fsync is never retried); mutations are rejected
@@ -425,17 +416,6 @@ impl WireError {
             QueryParseError::Invalid(QueryError::EmptyUnion) => ErrorCode::QueryEmptyUnion,
         };
         WireError::new(code, e.to_string())
-    }
-
-    /// Map a tree-text parse failure (with the failing document's index).
-    pub fn of_tree_error(doc_index: usize, e: &TreeTextError) -> WireError {
-        WireError::new(ErrorCode::TreeParse, format!("document {doc_index}: {e}"))
-    }
-
-    /// Map a binary-frame decode failure (with the failing document's
-    /// index).
-    pub fn of_binary_error(doc_index: usize, e: &BinaryError) -> WireError {
-        WireError::new(ErrorCode::BinaryDoc, format!("document {doc_index}: {e}"))
     }
 
     /// Map a document-store failure (every variant has a code).
@@ -649,32 +629,6 @@ impl RequestBody {
             RequestBody::ListSettings => OpCode::ListSettings,
             RequestBody::EvictSetting { .. } => OpCode::EvictSetting,
             RequestBody::Stats => OpCode::Stats,
-        }
-    }
-
-    /// Number of documents carried. Note the server's in-flight budget
-    /// counts *requests*, not documents — a full micro-batch occupies one
-    /// budget slot (size the budget against
-    /// `max_inflight_total × max_docs_per_request` documents of work).
-    pub fn doc_count(&self) -> usize {
-        match self {
-            RequestBody::Ping | RequestBody::Hello { .. } => 0,
-            RequestBody::CheckConsistency { docs }
-            | RequestBody::CanonicalSolution { docs }
-            | RequestBody::CertainAnswers { docs, .. }
-            | RequestBody::CertainAnswersBoolean { docs, .. } => docs.len(),
-            RequestBody::PutDoc { .. } => 1,
-            RequestBody::GetDoc { .. }
-            | RequestBody::EditDoc { .. }
-            | RequestBody::DeleteDoc { .. }
-            | RequestBody::CheckConsistencyStored { .. }
-            | RequestBody::CanonicalSolutionStored { .. }
-            | RequestBody::CertainAnswersStored { .. }
-            | RequestBody::CertainAnswersBooleanStored { .. }
-            | RequestBody::PutSetting { .. }
-            | RequestBody::ListSettings
-            | RequestBody::EvictSetting { .. }
-            | RequestBody::Stats => 0,
         }
     }
 }

@@ -1,18 +1,9 @@
 //! Byte-level helpers shared by the WAL and snapshot codecs: a bounds-checked
 //! cursor (every read is total — truncated input yields `None`, never a
-//! panic) and the FNV-1a checksum both formats use.
-
-/// FNV-1a over `bytes`. The store's integrity checks guard against torn
-/// writes and bit rot, not adversaries with write access to the data
-/// directory, so a fast non-cryptographic checksum is the right tool (and
-/// the same function the binary codec's name interner already trusts).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+//! panic). Both formats checksum with [`xdx_xmltree::fnv1a`]: their integrity
+//! checks guard against torn writes and bit rot, not adversaries with write
+//! access to the data directory, so a fast non-cryptographic checksum is the
+//! right tool.
 
 /// A forward-only reader over a byte slice.
 pub(crate) struct Cursor<'a> {
@@ -90,11 +81,5 @@ mod tests {
         assert_eq!(c.u32(), None, "not enough bytes left");
         assert_eq!(c.u8(), Some(3), "failed reads consume nothing");
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn fnv_distinguishes_nearby_inputs() {
-        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
-        assert_ne!(fnv1a(b""), fnv1a(b"\0"));
     }
 }

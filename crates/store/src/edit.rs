@@ -292,23 +292,11 @@ pub fn decode_edits_exact(bytes: &[u8]) -> Result<Vec<DocEdit>, EditError> {
 // Application
 // ---------------------------------------------------------------------------
 
-/// What [`apply_edits`] did, for the caller's dirty-tracking. Also carries
-/// the batch's undo log: a caller whose *own* post-apply step fails (e.g.
-/// the store's WAL append) can [`AppliedEdits::rollback`] to restore the
-/// pre-batch document.
+/// The undo log of a batch [`apply_edits`] applied: a caller whose *own*
+/// post-apply step fails (e.g. the store's WAL append) can
+/// [`AppliedEdits::rollback`] to restore the pre-batch document.
 #[derive(Debug, Default)]
 pub struct AppliedEdits {
-    /// Every node whose attribute set or child list changed, plus every
-    /// freshly inserted node — exactly the seed set
-    /// [`xdx_core::CompiledSetting::chase_incremental`] and the store's
-    /// incremental conformance check require.
-    pub dirty: Vec<NodeId>,
-    /// Roots of subtrees detached by `RemoveChild` (their descendants must
-    /// be dropped from any per-node bookkeeping).
-    pub detached: Vec<NodeId>,
-    /// Did any edit change tree structure (as opposed to attributes only)?
-    /// Structure changes invalidate preorder-rank caches.
-    pub structural: bool,
     undo: Vec<Undo>,
 }
 
@@ -427,9 +415,6 @@ fn apply_one(
             }
             let child = tree.insert_child(parent, *at as usize, label.clone());
             applied.undo.push(Undo::Inserted { parent, child });
-            applied.dirty.push(parent);
-            applied.dirty.push(child);
-            applied.structural = true;
             *order = None;
         }
         DocEdit::RemoveChild { parent, at } => {
@@ -447,9 +432,6 @@ fn apply_one(
                 child,
                 order: siblings,
             });
-            applied.dirty.push(parent);
-            applied.detached.push(child);
-            applied.structural = true;
             *order = None;
         }
         DocEdit::SetAttr { node, name, value } => {
@@ -460,7 +442,6 @@ fn apply_one(
                 name: name.clone(),
                 old,
             });
-            applied.dirty.push(node);
         }
         DocEdit::RemoveAttr { node, name } => {
             let node = resolve(tree, order, *node)?;
@@ -472,7 +453,6 @@ fn apply_one(
                 name: name.clone(),
                 old: Some(old),
             });
-            applied.dirty.push(node);
         }
     }
     Ok(())
@@ -557,8 +537,7 @@ mod tests {
             },
         ];
         let mut order = None;
-        let applied = apply_edits(&mut t, &mut order, &batch).unwrap();
-        assert!(applied.structural);
+        apply_edits(&mut t, &mut order, &batch).unwrap();
         assert_eq!(
             tree_to_text(&t),
             "db[book(@title=\"New\"),book(@title=\"CO\")[author]]"

@@ -4,12 +4,11 @@
 //! consistency check, canonical solution or certain-answer query re-sent
 //! and re-parsed the whole source document. This crate keeps documents
 //! **resident**: decoded once, persisted as binary snapshots plus a
-//! write-ahead log of node-local edits, re-validated in `O(dirty)` after an
-//! edit, with derived results cached per document version.
+//! write-ahead log of node-local edits, with derived results cached per
+//! document version.
 //!
 //! * [`store`] — the [`DocStore`]: put/get/edit/delete, crash recovery,
-//!   checkpointing, incremental conformance validation, version-tagged
-//!   result caches;
+//!   checkpointing, version-tagged result caches;
 //! * [`edit`] — [`DocEdit`] (insert/remove child, set/remove attribute),
 //!   preorder-rank addressing, the wire encoding, atomic batch application;
 //! * [`wal`] — length-prefixed, checksummed records with configurable
@@ -47,8 +46,7 @@ pub use snapshot::{
     SnapshotSource, SnapshotWriteError,
 };
 pub use store::{
-    DocStore, EditReceipt, StoreConfig, StoreError, StoreMetrics, LOCK_FILE, SNAPSHOT_FILE,
-    WAL_FILE,
+    DocStore, StoreConfig, StoreError, StoreMetrics, LOCK_FILE, SNAPSHOT_FILE, WAL_FILE,
 };
 pub use vfs::{FaultKind, FaultPlan, FaultVfs, RealVfs, Vfs, VfsFile};
 pub use wal::{replay, SyncPolicy, Wal, WalError, WalOp, WalRecord};

@@ -33,12 +33,12 @@
 //! corrupt named snapshot therefore indicates storage-level damage, and
 //! loading reports it as an error instead of guessing.
 
-use crate::bytes::{fnv1a, Cursor};
+use crate::bytes::Cursor;
 use crate::key::DocKey;
 use crate::vfs::Vfs;
 use std::fmt;
 use std::path::Path;
-use xdx_xmltree::{decode_tree, encode_tree, XmlTree};
+use xdx_xmltree::{decode_tree, encode_tree, fnv1a, XmlTree};
 
 const MAGIC: &[u8; 8] = b"XDXSNAP2";
 const V1_MAGIC: &[u8; 8] = b"XDXSNAP1";

@@ -1,9 +1,8 @@
 //! The resident document store.
 //!
 //! A [`DocStore`] keeps a set of documents in memory (as [`XmlTree`]s),
-//! makes every acknowledged mutation durable through the WAL, and maintains
-//! the per-document machinery that turns "a node changed" into cheap
-//! re-answers:
+//! makes every acknowledged mutation durable through the WAL, and keeps
+//! per document:
 //!
 //! * a **version** per document, drawn from a store-wide monotone mutation
 //!   sequence (every `put`/`edit`/`delete` advances it; results computed
@@ -12,13 +11,6 @@
 //!   delete + re-put of the same id — which makes the `edit` base-version
 //!   check ABA-proof and gives WAL replay an unambiguous "already in the
 //!   snapshot" test;
-//! * a **dirty set** of nodes touched since the last validation, which
-//!   feeds the `O(dirty)` incremental conformance check
-//!   ([`DocStore::validate`]) and the incremental chase
-//!   ([`xdx_core::CompiledSetting::chase_incremental`]);
-//! * a **violation set** — the nodes currently failing their node-local
-//!   DTD check — kept incrementally: a document is valid iff the set is
-//!   empty, and an edit only re-checks the nodes it dirtied;
 //! * a version-tagged **result cache** ([`xdx_core::DocResultCache`]) the
 //!   embedder fills with whatever it computes per version (the server
 //!   caches encoded response bodies for byte-identical replays).
@@ -48,8 +40,8 @@
 //! collisions. A bare `u64` converts into the default setting's key, which
 //! is what protocol v1/v2 clients (and single-setting embedders) address.
 //! Rebinding a setting id to a different compiled setting calls
-//! [`DocStore::invalidate_setting`]: derived state (result caches,
-//! validation baselines) is discarded, the documents themselves survive.
+//! [`DocStore::invalidate_setting`]: the cached results are discarded, the
+//! documents themselves survive.
 //!
 //! `open` also takes an exclusive advisory lock on a `store.lock` file in
 //! the directory, so two processes pointed at the same store fail fast
@@ -60,7 +52,7 @@ use crate::key::DocKey;
 use crate::snapshot::{load_snapshot, write_snapshot, SnapshotSource, SnapshotWriteError};
 use crate::vfs::{RealVfs, Vfs};
 use crate::wal::{SyncPolicy, Wal, WalError, WalOp, WalRecord};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -68,7 +60,7 @@ use std::time::Instant;
 use xdx_core::DocResultCache;
 use xdx_obs::Histogram;
 use xdx_xmltree::limits::MAX_DOCUMENT_BYTES;
-use xdx_xmltree::{decode_tree, encode_tree, CompiledDtd, NodeId, Value, XmlTree};
+use xdx_xmltree::{decode_tree, encode_tree, NodeId, Value, XmlTree};
 
 /// File name of the snapshot segment inside the store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -224,16 +216,7 @@ impl From<EditError> for StoreError {
     }
 }
 
-/// What an accepted edit batch reports back.
-#[derive(Debug)]
-pub struct EditReceipt {
-    /// The document's new version.
-    pub version: u64,
-    /// The nodes the batch dirtied (see [`crate::edit::AppliedEdits::dirty`]).
-    pub dirty: Vec<NodeId>,
-}
-
-/// One resident document and its incremental bookkeeping.
+/// One resident document.
 #[derive(Debug)]
 struct Resident<V> {
     /// The document's snapshot frame, still undecoded: snapshot load keeps
@@ -248,13 +231,6 @@ struct Resident<V> {
     tree: XmlTree,
     /// Lazily built preorder-rank → node map; `None` after structural edits.
     preorder: Option<Vec<NodeId>>,
-    /// Nodes touched since the last [`DocStore::validate`] call.
-    dirty: BTreeSet<NodeId>,
-    /// Nodes currently failing their node-local check (valid baseline only
-    /// when `validated`).
-    violations: BTreeSet<NodeId>,
-    /// Has a full-scan validation baseline been established since load?
-    validated: bool,
     /// Upper bound on the document's binary-encoded size: exact after a
     /// `put`, load or checkpoint (the frame was in hand), then grown by a
     /// conservative per-edit bound. Guards the [`MAX_DOCUMENT_BYTES`]
@@ -270,9 +246,6 @@ impl<V> Resident<V> {
             frame: None,
             tree,
             preorder: None,
-            dirty: BTreeSet::new(),
-            violations: BTreeSet::new(),
-            validated: false,
             encoded_bytes,
             cache: DocResultCache::new(version),
         }
@@ -284,9 +257,6 @@ impl<V> Resident<V> {
             frame: Some(frame),
             tree: XmlTree::new("pending"),
             preorder: None,
-            dirty: BTreeSet::new(),
-            violations: BTreeSet::new(),
-            validated: false,
             encoded_bytes,
             cache: DocResultCache::new(version),
         }
@@ -589,14 +559,14 @@ impl<V> DocStore<V> {
     /// Apply an edit batch. `base_version` is an optimistic-concurrency
     /// check: the batch is rejected with [`StoreError::VersionConflict`]
     /// unless it equals the document's current version; pass `0` to skip
-    /// the check (last-writer-wins). An empty batch is a no-op that leaves
-    /// the version unchanged.
+    /// the check (last-writer-wins). Returns the new version; an empty
+    /// batch is a no-op that returns the version unchanged.
     pub fn edit(
         &mut self,
         key: impl Into<DocKey>,
         base_version: u64,
         edits: &[DocEdit],
-    ) -> Result<EditReceipt, StoreError> {
+    ) -> Result<u64, StoreError> {
         let key = key.into();
         self.check_writable()?;
         let r = self
@@ -613,10 +583,7 @@ impl<V> DocStore<V> {
             });
         }
         if edits.is_empty() {
-            return Ok(EditReceipt {
-                version: current,
-                dirty: Vec::new(),
-            });
+            return Ok(current);
         }
         // Size guard, against a conservative growth bound: a document that
         // encodes past MAX_DOCUMENT_BYTES would checkpoint fine but hit the
@@ -653,24 +620,7 @@ impl<V> DocStore<V> {
         self.seq = version;
         r.encoded_bytes = bound;
         r.cache.set_version(version);
-        // Merge the batch's dirty set *before* stripping detached subtrees:
-        // a node inserted and then detached within one batch is in both
-        // lists, and only this order drops it. (`validate`'s reachability
-        // check only sees the detached *root*'s cleared parent link — a
-        // node deeper in a detached subtree still has its parent pointer,
-        // so leaving it dirty would fabricate violations on nodes the
-        // document no longer contains.)
-        r.dirty.extend(applied.dirty.iter().copied());
-        for &root in &applied.detached {
-            for n in r.tree.descendants_or_self(root) {
-                r.dirty.remove(&n);
-                r.violations.remove(&n);
-            }
-        }
-        Ok(EditReceipt {
-            version,
-            dirty: applied.dirty,
-        })
+        Ok(version)
     }
 
     /// Delete a document. Advances the store-wide sequence, so a later
@@ -695,75 +645,18 @@ impl<V> DocStore<V> {
         Ok(())
     }
 
-    /// Does the document conform to `dtd` (ordered conformance, the check
-    /// source documents must pass)?
-    ///
-    /// The first call after load scans the whole document and establishes
-    /// the violation baseline; every later call re-checks **only the nodes
-    /// dirtied since the previous call** — `O(dirty)`, not `O(document)`.
-    /// The baseline is only meaningful against one fixed DTD: each setting
-    /// binding pins one source DTD, so the store does not fingerprint the
-    /// DTD — a setting *rebind* must call [`DocStore::invalidate_setting`]
-    /// to discard the stale baselines (pass a mismatched DTD without that
-    /// and the stale baseline is yours to keep).
-    pub fn validate(
-        &mut self,
-        key: impl Into<DocKey>,
-        dtd: &CompiledDtd,
-    ) -> Result<bool, StoreError> {
-        let key = key.into();
-        let r = self
-            .docs
-            .get_mut(&key)
-            .ok_or(StoreError::UnknownDoc { key })?;
-        r.materialize(key)?;
-        if !r.validated {
-            r.violations.clear();
-            let root = r.tree.root();
-            for n in r.tree.preorder() {
-                if !node_conforms(dtd, &r.tree, n, n == root) {
-                    r.violations.insert(n);
-                }
-            }
-            r.validated = true;
-            r.dirty.clear();
-        } else {
-            let root = r.tree.root();
-            let dirty = std::mem::take(&mut r.dirty);
-            for n in dirty {
-                // A dirtied node may since have been detached (removed in a
-                // later batch); it no longer counts.
-                let reachable = n == root || r.tree.parent(n).is_some();
-                if reachable && !node_conforms(dtd, &r.tree, n, n == root) {
-                    r.violations.insert(n);
-                } else {
-                    r.violations.remove(&n);
-                }
-            }
-        }
-        Ok(r.violations.is_empty())
-    }
-
-    /// The nodes dirtied since the last [`DocStore::validate`] — the seed
-    /// set for [`xdx_core::CompiledSetting::chase_incremental`].
-    pub fn dirty_nodes(&self, key: impl Into<DocKey>) -> Option<impl Iterator<Item = NodeId> + '_> {
-        self.docs.get(&key.into()).map(|r| r.dirty.iter().copied())
-    }
-
     /// The document's version-tagged result cache.
     pub fn result_cache(&mut self, key: impl Into<DocKey>) -> Option<&mut DocResultCache<V>> {
         self.docs.get_mut(&key.into()).map(|r| &mut r.cache)
     }
 
-    /// Discard every *derived* artifact of `setting`'s resident documents —
-    /// cached results, validation baselines, dirty bookkeeping — while
+    /// Discard the cached results of `setting`'s resident documents while
     /// keeping the documents (and their versions) themselves. This is what
-    /// a setting **rebind** calls: cached answers and violation baselines
-    /// were computed against the old setting's DTDs and patterns, but the
-    /// documents are tenant data that must survive a setting upload (and a
-    /// compiled-setting eviction must cost nothing here at all). The next
-    /// `validate` per document is a full scan. Returns how many documents
-    /// were invalidated.
+    /// a setting **rebind** calls: cached answers were computed against the
+    /// old setting's DTDs and patterns, but the documents are tenant data
+    /// that must survive a setting upload (and a compiled-setting eviction
+    /// must cost nothing here at all). Returns how many documents were
+    /// invalidated.
     pub fn invalidate_setting(&mut self, setting: u64) -> usize {
         let mut n = 0;
         for (_, r) in self
@@ -771,9 +664,6 @@ impl<V> DocStore<V> {
             .range_mut(DocKey::setting_min(setting)..=DocKey::setting_max(setting))
         {
             r.cache.clear();
-            r.validated = false;
-            r.dirty.clear();
-            r.violations.clear();
             n += 1;
         }
         n
@@ -783,8 +673,7 @@ impl<V> DocStore<V> {
     /// the store-wide sequence in its footer, then reset the WAL. Also
     /// refreshes each materialized document's exact encoded size (the
     /// frames are in hand anyway) and compacts the arena of documents whose
-    /// detached-slot garbage exceeds their live size (which resets their
-    /// validation baseline — the next `validate` is a full scan).
+    /// detached-slot garbage exceeds their live size.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         self.check_writable()?;
         let checkpoint_start = Instant::now();
@@ -838,9 +727,6 @@ impl<V> DocStore<V> {
             if r.tree.arena_len() > 2 * r.tree.size() {
                 r.tree = decode_tree(frame).expect("own encoding always decodes");
                 r.preorder = None;
-                r.dirty.clear();
-                r.violations.clear();
-                r.validated = false;
             }
         }
         self.metrics
@@ -909,12 +795,6 @@ impl<V> DocStore<V> {
         self.wal_rollbacks
     }
 
-    /// Total nodes across every resident document's dirty set — the
-    /// backlog the next round of incremental validations will re-check.
-    pub fn dirty_total(&self) -> usize {
-        self.docs.values().map(|r| r.dirty.len()).sum()
-    }
-
     /// The store's self-recorded durability/recovery timings.
     pub fn metrics(&self) -> &StoreMetrics {
         &self.metrics
@@ -935,39 +815,13 @@ impl<V> DocStore<V> {
     }
 }
 
-/// The node-local conformance check: label declared (and the root's label
-/// equal to the DTD's root), attribute set exactly the declared one, child
-/// word in the content model. A document conforms iff every node passes —
-/// which is what lets validation re-check only dirtied nodes.
-fn node_conforms(dtd: &CompiledDtd, tree: &XmlTree, node: NodeId, is_root: bool) -> bool {
-    let Some(sym) = dtd.sym(tree.label(node)) else {
-        return false;
-    };
-    if is_root && sym != dtd.root_sym() {
-        return false;
-    }
-    let allowed = dtd.attrs(sym);
-    let attrs = tree.attrs(node);
-    if attrs.len() != allowed.len() || !attrs.keys().zip(allowed).all(|(a, b)| a == b) {
-        return false;
-    }
-    let mut syms = Vec::with_capacity(tree.children(node).len());
-    for &c in tree.children(node) {
-        match dtd.sym(tree.label(c)) {
-            Some(s) => syms.push(s),
-            None => return false,
-        }
-    }
-    dtd.matches_children(sym, &syms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edit::DocEdit;
     use std::path::Path;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use xdx_xmltree::{parse_tree, tree_to_text, Dtd};
+    use xdx_xmltree::{parse_tree, tree_to_text};
 
     static DIRS: AtomicUsize = AtomicUsize::new(0);
 
@@ -994,16 +848,6 @@ mod tests {
         DocStore::open(config(dir)).unwrap()
     }
 
-    fn book_dtd() -> Dtd {
-        Dtd::builder("db")
-            .rule("db", "book*")
-            .rule("book", "author*")
-            .attributes("book", ["@title"])
-            .attributes("author", ["@name"])
-            .build()
-            .unwrap()
-    }
-
     fn sample() -> XmlTree {
         parse_tree("db[book(@title=\"CO\")[author(@name=\"P\")]]").unwrap()
     }
@@ -1016,7 +860,7 @@ mod tests {
         // (any document) advances it.
         assert_eq!(s.put(1, sample()).unwrap(), 1);
         assert_eq!(s.put(2, XmlTree::new("db")).unwrap(), 2);
-        let receipt = s
+        let version = s
             .edit(
                 1,
                 1,
@@ -1027,7 +871,7 @@ mod tests {
                 }],
             )
             .unwrap();
-        assert_eq!(receipt.version, 3);
+        assert_eq!(version, 3);
         s.delete(2).unwrap();
         assert_eq!(s.seq(), 4);
         drop(s);
@@ -1092,57 +936,6 @@ mod tests {
         drop(s);
         let mut s = open(&dir);
         assert_eq!(tree_to_text(s.get(1).unwrap().0), before, "nothing logged");
-        cleanup(&dir);
-    }
-
-    #[test]
-    fn validation_is_incremental_and_tracks_edits() {
-        let dir = fresh_dir("validate");
-        let dtd = book_dtd();
-        let dtd = dtd.compiled();
-        let mut s = open(&dir);
-        s.put(1, sample()).unwrap();
-        assert!(s.validate(1, dtd).unwrap());
-        // Remove @title: the book violates.
-        s.edit(
-            1,
-            0,
-            &[DocEdit::RemoveAttr {
-                node: 1,
-                name: "@title".into(),
-            }],
-        )
-        .unwrap();
-        assert!(!s.validate(1, dtd).unwrap());
-        // Restore it: valid again, via a one-node recheck.
-        s.edit(
-            1,
-            0,
-            &[DocEdit::SetAttr {
-                node: 1,
-                name: "@title".into(),
-                value: "CO".into(),
-            }],
-        )
-        .unwrap();
-        assert!(s.validate(1, dtd).unwrap());
-        // An undeclared child label breaks the parent's word.
-        s.edit(
-            1,
-            0,
-            &[DocEdit::InsertChild {
-                parent: 0,
-                at: 0,
-                label: "pamphlet".into(),
-            }],
-        )
-        .unwrap();
-        assert!(!s.validate(1, dtd).unwrap());
-        // Removing it heals the document (and the violating subtree's
-        // bookkeeping goes with it).
-        s.edit(1, 0, &[DocEdit::RemoveChild { parent: 0, at: 0 }])
-            .unwrap();
-        assert!(s.validate(1, dtd).unwrap());
         cleanup(&dir);
     }
 
@@ -1461,41 +1254,6 @@ mod tests {
         cleanup(&dir);
     }
 
-    /// Regression: a node inserted and then detached within one batch must
-    /// not linger in the dirty set — its parent pointer survives the
-    /// detach (only the detached *root*'s is cleared), so a stale entry
-    /// would make `validate` fabricate a violation on a node the document
-    /// no longer contains.
-    #[test]
-    fn insert_then_detach_in_one_batch_leaves_no_phantom_dirt() {
-        let dir = fresh_dir("phantom");
-        let mut s = open(&dir);
-        s.put(1, sample()).unwrap();
-        let dtd = book_dtd();
-        assert!(s.validate(1, dtd.compiled()).unwrap());
-        // Insert an undeclared label under the author (rank 2), then remove
-        // the whole book subtree; the document is a bare `db` again.
-        s.edit(
-            1,
-            0,
-            &[
-                DocEdit::InsertChild {
-                    parent: 2,
-                    at: 0,
-                    label: "zzz".into(),
-                },
-                DocEdit::RemoveChild { parent: 0, at: 0 },
-            ],
-        )
-        .unwrap();
-        assert_eq!(tree_to_text(s.get(1).unwrap().0), "db");
-        assert!(
-            s.validate(1, dtd.compiled()).unwrap(),
-            "a bare root conforms; detached nodes must not count"
-        );
-        cleanup(&dir);
-    }
-
     #[test]
     fn settings_scope_documents_and_survive_restart() {
         let dir = fresh_dir("settings");
@@ -1529,11 +1287,9 @@ mod tests {
     fn invalidate_setting_drops_derived_state_but_keeps_documents() {
         let dir = fresh_dir("invalidate");
         let mut s: DocStore<&'static str> = DocStore::open(config(&dir)).unwrap();
-        let dtd = book_dtd();
         s.put((2, 1), sample()).unwrap();
         s.put(1, sample()).unwrap();
         let v = s.version((2, 1)).unwrap();
-        assert!(s.validate((2, 1), dtd.compiled()).unwrap());
         s.result_cache((2, 1))
             .unwrap()
             .insert(xdx_core::CacheKey::Consistency, v, "stale");
@@ -1542,7 +1298,7 @@ mod tests {
             .unwrap()
             .insert(xdx_core::CacheKey::Consistency, v0, "kept");
         assert_eq!(s.invalidate_setting(2), 1);
-        // The document and its version survive; the derived state is gone.
+        // The document and its version survive; the cached result is gone.
         assert_eq!(s.version((2, 1)), Some(v));
         assert_eq!(
             s.result_cache((2, 1))
@@ -1558,9 +1314,10 @@ mod tests {
             Some(&"kept"),
             "other settings untouched"
         );
-        // The validation baseline was reset: the next validate is a full
-        // scan (observable as still-correct answers after the reset).
-        assert!(s.validate((2, 1), dtd.compiled()).unwrap());
+        assert_eq!(
+            tree_to_text(s.get((2, 1)).unwrap().0),
+            tree_to_text(&sample())
+        );
         cleanup(&dir);
     }
 
@@ -1590,7 +1347,6 @@ mod tests {
         assert!(matches!(s.get(2), Err(StoreError::UnknownDoc { .. })));
         // ...reads keep serving...
         assert_eq!(tree_to_text(s.get(1).unwrap().0), text);
-        assert!(s.validate(1, book_dtd().compiled()).unwrap());
         // ...and every further mutation is rejected, including checkpoints
         // (sticky: the failed fsync is never retried).
         assert!(matches!(

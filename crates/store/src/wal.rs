@@ -35,12 +35,13 @@
 //! covers (which is what makes a crash between snapshot rename and WAL
 //! truncation harmless — see [`crate::store`]).
 
-use crate::bytes::{fnv1a, Cursor};
+use crate::bytes::Cursor;
 use crate::edit::{decode_edits, encode_edits, DocEdit};
 use crate::key::DocKey;
 use crate::vfs::{Vfs, VfsFile};
 use std::fmt;
 use std::path::Path;
+use xdx_xmltree::fnv1a;
 use xdx_xmltree::limits::MAX_DOCUMENT_BYTES;
 
 /// Upper bound on one record's payload. A `Put` carries a whole encoded

@@ -93,10 +93,21 @@ impl std::error::Error for BinaryError {}
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// FNV-1a. Interning is the hot loop of the planning pass and names are
-/// short, where FNV beats the default SipHash by a wide margin; the table is
-/// frame-local and never fed attacker-controlled keys, so HashDoS hardening
-/// buys nothing here.
+/// FNV-1a over `bytes` — the workspace's one non-cryptographic hash: the
+/// store's snapshot and WAL checksums, the server registry's content
+/// address of a setting text, and (as `Fnv`) this encoder's interner
+/// hasher. Checksums on disk and `PutSettingOk.content_hash` depend on its
+/// exact output.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// FNV-1a as a [`Hasher`]. Interning is the hot loop of the planning pass
+/// and names are short, where FNV beats the default SipHash by a wide
+/// margin; the table is frame-local and never fed attacker-controlled
+/// keys, so HashDoS hardening buys nothing here.
 struct Fnv(u64);
 
 impl Default for Fnv {
@@ -521,6 +532,14 @@ mod tests {
     use super::*;
     use crate::text::{parse_tree, tree_to_text};
     use crate::tree::TreeBuilder;
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
+        assert_ne!(fnv1a(b""), fnv1a(b"\0"));
+    }
 
     fn sample_tree() -> XmlTree {
         let mut t = TreeBuilder::new("db")

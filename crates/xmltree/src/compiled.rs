@@ -282,11 +282,6 @@ impl CompiledDtd {
         }
     }
 
-    /// The root element's symbol.
-    pub fn root_sym(&self) -> Sym {
-        self.root
-    }
-
     /// The element-type interner.
     pub fn elements(&self) -> &Interner<ElementType> {
         &self.elements
@@ -324,13 +319,6 @@ impl CompiledDtd {
     #[inline]
     pub fn bitset_nfa(&self, sym: Sym) -> &BitsetNfa<ElementType> {
         &self.rules[sym.index()].bitset
-    }
-
-    /// Ordered membership: is the interned child sequence in the content
-    /// model language?
-    #[inline]
-    pub fn matches_children(&self, parent: Sym, children: &[Sym]) -> bool {
-        self.rules[parent.index()].matches_syms(children)
     }
 
     /// Unordered membership: is the child multiset in the permutation

@@ -813,19 +813,6 @@ impl DtdBuilder {
         self
     }
 
-    /// Add a rule with an already-built regular expression.
-    pub fn rule_regex(
-        mut self,
-        element: impl Into<ElementType>,
-        content: Regex<ElementType>,
-    ) -> Self {
-        let element = element.into();
-        if self.rules.insert(element.clone(), content).is_some() {
-            self.errors.push(DtdError::DuplicateRule { element });
-        }
-        self
-    }
-
     /// Declare the attribute set of an element type.
     pub fn attributes<A: Into<AttrName>>(
         mut self,

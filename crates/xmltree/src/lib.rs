@@ -56,7 +56,7 @@ pub mod text;
 pub mod tree;
 pub mod value;
 
-pub use binary::{decode_tree, encode_tree, BinaryError, ByteSink};
+pub use binary::{decode_tree, encode_tree, fnv1a, BinaryError, ByteSink};
 pub use compiled::CompiledDtd;
 pub use dtd::{ConformanceViolation, Dtd, DtdBuilder, DtdError};
 pub use interner::{Interner, Sym};

@@ -299,18 +299,6 @@ pub fn parse_tree(input: &str) -> Result<XmlTree, TreeTextError> {
     }
 }
 
-impl XmlTree {
-    /// Serialize to the lossless text form of [`tree_to_text`].
-    pub fn to_text(&self) -> String {
-        tree_to_text(self)
-    }
-
-    /// Parse from the text form ([`parse_tree`]).
-    pub fn from_text(input: &str) -> Result<XmlTree, TreeTextError> {
-        parse_tree(input)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,8 +23,8 @@
 //!   (Theorem 6.2) and executable hardness gadgets;
 //! * [`store`] — the resident document store behind the server's stored-doc
 //!   ops: checksummed binary snapshots, a write-ahead log of node-local
-//!   edits with prefix-consistent crash recovery, `O(dirty)` incremental
-//!   re-validation and version-tagged answer caching;
+//!   edits with prefix-consistent crash recovery, and version-tagged
+//!   answer caching;
 //! * [`server`] — the async serving front-end: a hand-rolled epoll event
 //!   loop and a length-prefixed wire protocol exposing consistency checks,
 //!   canonical solutions and certain answers over TCP and Unix sockets,

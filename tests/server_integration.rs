@@ -1142,14 +1142,34 @@ fn stats_rows_ascend_and_one_snapshot_feeds_wire_handle_and_prometheus() {
                 "rows must be strictly ascending: {names:?}"
             );
         }
-        for name in [
-            "server.accepted_conns",
-            "store.dirty_nodes",
-            "store.cache_misses",
-        ] {
-            assert!(counters.contains(&name), "missing counter {name}");
-        }
-        assert!(!counters.contains(&"store.dirty_docs"));
+        // The whole counter list of a store-backed server, pinned so a
+        // row cannot appear, vanish or be renamed unnoticed.
+        assert_eq!(
+            counters,
+            [
+                "engine.assign_highwater",
+                "registry.artifact_hits",
+                "registry.artifact_misses",
+                "server.accepted_conns",
+                "server.busy_rejected",
+                "server.goaway_rejected",
+                "server.inflight_highwater",
+                "server.reaped_idle",
+                "server.reaped_slow",
+                "server.slow_requests",
+                "server.uptime_secs",
+                "store.cache_hits",
+                "store.cache_misses",
+                "store.degraded",
+                "store.replay_ns",
+                "store.replayed_records",
+                "store.resident_docs",
+                "store.resident_tree_bytes",
+                "store.seq",
+                "store.wal_bytes",
+                "store.wal_rollbacks",
+            ]
+        );
         for name in [
             "engine.chase_steps",
             "req.solution.s0.total",

@@ -1,4 +1,4 @@
-//! Crash-recovery and incremental re-validation tests for `xdx-store`.
+//! Crash-recovery and random-edit tests for `xdx-store`.
 //!
 //! * **Kill-at-any-point WAL recovery** — exhaustively cut the log at every
 //!   byte boundary (with and without a snapshot underneath) and assert the
@@ -8,26 +8,21 @@
 //! * **Corruption fuzzing** — random byte flips, truncations and appended
 //!   garbage never panic the loader, and the recovered state is still some
 //!   operation prefix.
-//! * **Randomized differentials** (the default case counts sum to > 500
-//!   per run; the CI deep sweep scales them with `PROPTEST_CASES`) —
-//!   after random edit batches, the store's `O(dirty)` conformance
-//!   re-validation must equal a full re-scan of a re-parsed copy, and the
-//!   dirty-seeded incremental chase must agree with `chase_reference` run
-//!   from scratch on a re-parse.
+//! * **Random-edit differential** (the CI deep sweep scales its case count
+//!   with `PROPTEST_CASES`) — every random edit batch through
+//!   `DocStore::edit` must leave exactly the tree `apply_edits` makes from
+//!   a text re-parse of the previous document, a rejected batch must leave
+//!   tree and version alone, and a reopen must restore every document and
+//!   version.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use xml_data_exchange::core::setting::DataExchangeSetting;
-use xml_data_exchange::core::solution::{chase_reference, SolutionError};
-use xml_data_exchange::core::CompiledSetting;
 use xml_data_exchange::store::{
-    DocEdit, DocStore, StoreConfig, SyncPolicy, SNAPSHOT_FILE, WAL_FILE,
+    apply_edits, DocEdit, DocStore, StoreConfig, StoreError, SyncPolicy, SNAPSHOT_FILE, WAL_FILE,
 };
-use xml_data_exchange::xmltree::{
-    parse_tree, tree_to_text, AttrName, ElementType, NodeId, NullGen, Value,
-};
+use xml_data_exchange::xmltree::{parse_tree, tree_to_text, AttrName, ElementType, NodeId, Value};
 use xml_data_exchange::XmlTree;
 
 static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -257,19 +252,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental re-validation differentials
+// Random-edit differential
 // ---------------------------------------------------------------------------
 
-/// The E13 chase setting: target `doc -> sec* meta?`, `sec -> title par*`,
-/// attributes `sec@id`, `title@t`, `par@w` — the same fixture the chase
-/// benches and `tests/chase_differential.rs` pin.
-fn doc_setting() -> DataExchangeSetting {
-    xdx_bench::chase_setting()
-}
-
-/// A random tree over the target alphabet (plus the undeclared label `z`
-/// and the undeclared attribute `@x` at low probability), shaped to be
-/// sometimes conforming, sometimes not.
+/// A random tree over the alphabet of the E13 chase setting's target
+/// (`doc -> sec* meta?`, `sec -> title par*`, attributes `sec@id`,
+/// `title@t`, `par@w`), plus the undeclared label `z` at low probability.
 fn random_doc_tree(rng: &mut TestRng, budget: usize) -> XmlTree {
     let mut tree = XmlTree::new("doc");
     let mut nodes = 1usize;
@@ -350,166 +338,56 @@ fn random_edit_batch(rng: &mut TestRng, tree: &XmlTree) -> Vec<DocEdit> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(192)))]
 
-    /// After every edit batch (applied or rejected), the store's
-    /// incremental `validate` — which re-checks only the nodes dirtied
-    /// since the last call — must return exactly what a full ordered
-    /// conformance scan of a *re-parsed* copy returns.
+    /// After every random edit batch through `DocStore::edit`, the
+    /// resident tree must equal `apply_edits` run on a text re-parse of
+    /// the previous document; a batch that `apply_edits` rejects must be
+    /// rejected by the store with the same error, leaving the tree and the
+    /// version unchanged. Checkpoints at random rounds put arena
+    /// compaction and snapshot frames under the same check, and a reopen
+    /// must restore every document and version.
     #[test]
-    fn incremental_validation_equals_full_rescan_of_a_reparse(
+    fn random_edit_batches_equal_apply_edits_on_a_reparse(
         seed in 0u64..u64::MAX,
         budget in 2usize..20,
         rounds in 1usize..8,
     ) {
-        let setting = doc_setting();
-        let dtd = setting.target_dtd.clone();
         let mut rng = TestRng::new(seed);
-        let dir = fresh_dir("validate-diff");
+        let dir = fresh_dir("edit-diff");
         let mut store: DocStore = DocStore::open(config(&dir)).unwrap();
         store.put(7, random_doc_tree(&mut rng, budget)).unwrap();
         for _ in 0..rounds {
-            let batch = random_edit_batch(&mut rng, store.get(7).unwrap().0);
-            let _ = store.edit(7, 0, &batch);
-            let incremental = store.validate(7, dtd.compiled()).unwrap();
-            let reparsed = parse_tree(&tree_to_text(store.get(7).unwrap().0)).unwrap();
-            let full = dtd.compiled().conforms(&reparsed);
-            prop_assert!(
-                incremental == full,
-                "incremental validate diverged from a full re-scan on {}",
-                tree_to_text(store.get(7).unwrap().0)
-            );
+            let (tree, before_version) = store.get(7).unwrap();
+            let before = tree_to_text(tree);
+            let batch = random_edit_batch(&mut rng, tree);
+            let mut expected = parse_tree(&before).unwrap();
+            let verdict = apply_edits(&mut expected, &mut None, &batch).map(|_| ());
+            let got = store.edit(7, 0, &batch);
+            let (tree, version) = store.get(7).unwrap();
+            match (verdict, got) {
+                (Ok(()), Ok(new_version)) => {
+                    prop_assert!(new_version > before_version);
+                    prop_assert_eq!(version, new_version);
+                    prop_assert_eq!(tree_to_text(tree), tree_to_text(&expected));
+                }
+                (Err(want), Err(StoreError::BadEdit(err))) => {
+                    prop_assert_eq!(err, want);
+                    prop_assert_eq!(version, before_version);
+                    prop_assert_eq!(tree_to_text(tree), before);
+                }
+                (verdict, got) => prop_assert!(
+                    false,
+                    "verdicts diverged on {before}: apply_edits {verdict:?}, store {got:?}"
+                ),
+            }
+            if rng.next_u64().is_multiple_of(4) {
+                store.checkpoint().unwrap();
+            }
         }
+        let live = state(&mut store);
         drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// A random edit batch that stays inside the target alphabet: labels only
-/// where a repair exists, attributes only where declared. The single
-/// reachable chase failure is then `AttributeClash` (merging `title`s with
-/// distinct constant `@t`s), so error *kinds* are assertable — the same
-/// one-fault-family discipline `tests/chase_differential.rs` uses (with
-/// several independent unrepairable faults, which one is reported is a
-/// visit-order artefact).
-fn random_in_alphabet_edit_batch(rng: &mut TestRng, tree: &XmlTree) -> Vec<DocEdit> {
-    let order: Vec<NodeId> = tree.preorder().collect();
-    let n = order.len() as u64;
-    let mut edits = Vec::new();
-    for _ in 0..rng.next_u64() % 3 + 1 {
-        let rank = (rng.next_u64() % n) as u32;
-        let node = order[rank as usize];
-        let label = tree.label(node).as_str();
-        let attr = match label {
-            "sec" => Some("@id"),
-            "title" => Some("@t"),
-            "par" => Some("@w"),
-            _ => None,
-        };
-        let kind = rng.next_u64() % 4;
-        let edit = match kind {
-            0 => {
-                let child = match label {
-                    "doc" => Some(*pick(rng, &["sec", "meta"])),
-                    "sec" => Some(*pick(rng, &["title", "par"])),
-                    _ => None,
-                };
-                child.map(|label| DocEdit::InsertChild {
-                    parent: rank,
-                    at: (rng.next_u64() % (tree.children(node).len() as u64 + 1)) as u32,
-                    label: ElementType::new(label),
-                })
-            }
-            1 => Some(DocEdit::RemoveChild {
-                parent: rank,
-                at: (rng.next_u64() % (tree.children(node).len() as u64 + 1)) as u32,
-            }),
-            2 => attr.map(|name| {
-                let value = if rng.next_u64().is_multiple_of(2) {
-                    "a"
-                } else {
-                    "b"
-                };
-                set_attr(rank, name, value)
-            }),
-            _ => attr.map(|name| DocEdit::RemoveAttr {
-                node: rank,
-                name: AttrName::new(name),
-            }),
-        };
-        // Nodes with nothing legal for the drawn kind contribute no edit.
-        edits.extend(edit);
-    }
-    edits
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(192)))]
-
-    /// Chase a tree clean, store it, apply random edit batches, then chase
-    /// **only the store's accumulated dirty set** — the verdict and result
-    /// must match `chase_reference` run from scratch on a re-parse of the
-    /// edited document (equal trees up to sibling order and null renaming
-    /// on success, equal error kinds on failure).
-    #[test]
-    fn incremental_chase_equals_reference_on_a_reparse(
-        seed in 0u64..u64::MAX,
-        budget in 2usize..20,
-        rounds in 1usize..4,
-    ) {
-        let setting = doc_setting();
-        let compiled = CompiledSetting::new(&setting);
-        let mut rng = TestRng::new(seed);
-        let mut tree = random_doc_tree(&mut rng, budget);
-        let mut nulls = NullGen::new();
-        if compiled.chase(&mut tree, &mut nulls).is_err() {
-            // Unrepairable base (e.g. an off-model `z`): no clean baseline
-            // to edit from — not this property's subject.
-            return Ok(());
-        }
-        let dir = fresh_dir("chase-diff");
-        let mut store: DocStore = DocStore::open(config(&dir)).unwrap();
-        store.put(7, tree).unwrap();
-        for _ in 0..rounds {
-            let batch = random_in_alphabet_edit_batch(&mut rng, store.get(7).unwrap().0);
-            let _ = store.edit(7, 0, &batch);
-        }
-        // `validate` was never called, so the dirty set covers every change
-        // since the chase-clean baseline — the incremental contract.
-        let dirty: Vec<NodeId> = store.dirty_nodes(7).unwrap().collect();
-        let base = store.get(7).unwrap().0;
-
-        let mut incremental_tree = base.clone();
-        let mut incremental_nulls = NullGen::starting_at(1_000_000);
-        let incremental = compiled
-            .chase_incremental(&mut incremental_tree, &mut incremental_nulls, &dirty)
-            .map(|()| incremental_tree);
-
-        let mut reference_tree = parse_tree(&tree_to_text(base)).unwrap();
-        let mut reference_nulls = NullGen::starting_at(1_000_000);
-        let reference = chase_reference(&mut reference_tree, &setting, &mut reference_nulls)
-            .map(|()| reference_tree);
-
-        match (&incremental, &reference) {
-            (Ok(i), Ok(r)) => {
-                i.validate().expect("incremental chase corrupted the tree");
-                prop_assert!(
-                    i.unordered_eq(r),
-                    "incremental chase diverged from the reference:\n{i}\nvs\n{r}"
-                );
-                prop_assert!(setting.target_dtd.conforms_unordered(i));
-            }
-            (Err(ie), Err(re)) => {
-                let _: &SolutionError = ie;
-                prop_assert!(
-                    std::mem::discriminant(ie) == std::mem::discriminant(re),
-                    "chase error kinds diverged: {ie:?} vs {re:?}"
-                );
-            }
-            _ => prop_assert!(
-                false,
-                "chase verdicts diverged: {incremental:?} vs {reference:?}"
-            ),
-        }
-        drop(store);
+        let mut reopened: DocStore = DocStore::open(config(&dir)).unwrap();
+        prop_assert_eq!(state(&mut reopened), live);
+        drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
