@@ -38,17 +38,16 @@ pub enum CacheKey {
 
 /// A cached value together with the document version it was computed at.
 #[derive(Debug, Clone)]
-pub struct Cached<V> {
+struct Cached<V> {
     /// The document version the value was computed from.
-    pub computed_at: u64,
+    computed_at: u64,
     /// The result itself.
-    pub value: V,
+    value: V,
     /// LRU stamp: the cache's logical clock at the last hit or insert.
     last_used: u64,
 }
 
-/// Default per-document entry cap (see [`DocResultCache::with_capacity`]).
-/// Generous for real workloads — one consistency + one solution entry plus
+/// Per-document entry cap. Generous for real workloads — one consistency + one solution entry plus
 /// a working set of distinct query texts — while keeping the worst case
 /// (a client spraying distinct `CertainAnswers(text)` keys at a pinned
 /// document version) bounded per document.
@@ -58,34 +57,26 @@ pub const DEFAULT_MAX_CACHE_ENTRIES: usize = 64;
 /// docs). `version` starts wherever the caller says (WAL replay restores
 /// counters) and only ever moves forward.
 ///
-/// The entry count is capped: version bumps already clear the map, but a
-/// document that is *read* under many distinct query texts at one version
-/// would otherwise grow without bound. At the cap, inserting a new key
-/// evicts the least-recently-used entry (`get` hits refresh recency).
+/// The entry count is capped at [`DEFAULT_MAX_CACHE_ENTRIES`]: version
+/// moves already clear the map, but a document that is *read* under many
+/// distinct query texts at one version would otherwise grow without bound.
+/// At the cap, inserting a new key evicts the least-recently-used entry
+/// (`get` hits refresh recency).
 #[derive(Debug, Clone)]
 pub struct DocResultCache<V> {
     version: u64,
     entries: HashMap<CacheKey, Cached<V>>,
     /// Logical clock driving LRU stamps; advanced by hits and inserts.
     clock: u64,
-    /// Entry cap (≥ 1); reaching it evicts the LRU entry.
-    max_entries: usize,
 }
 
 impl<V> DocResultCache<V> {
-    /// An empty cache for a document currently at `version`, with the
-    /// [`DEFAULT_MAX_CACHE_ENTRIES`] entry cap.
+    /// An empty cache for a document currently at `version`.
     pub fn new(version: u64) -> Self {
-        DocResultCache::with_capacity(version, DEFAULT_MAX_CACHE_ENTRIES)
-    }
-
-    /// An empty cache with an explicit entry cap (clamped to ≥ 1).
-    pub fn with_capacity(version: u64, max_entries: usize) -> Self {
         DocResultCache {
             version,
             entries: HashMap::new(),
             clock: 0,
-            max_entries: max_entries.max(1),
         }
     }
 
@@ -94,16 +85,8 @@ impl<V> DocResultCache<V> {
         self.version
     }
 
-    /// Record an edit: advance the version and drop every entry (they were
-    /// all computed at an older version). Returns the new version.
-    pub fn bump(&mut self) -> u64 {
-        self.version += 1;
-        self.entries.clear();
-        self.version
-    }
-
-    /// Reset the version (WAL replay / snapshot load). Drops all entries
-    /// unless the version is unchanged.
+    /// Move to `version` (an applied edit, WAL replay, snapshot load).
+    /// Drops all entries unless the version is unchanged.
     pub fn set_version(&mut self, version: u64) {
         if version != self.version {
             self.version = version;
@@ -113,8 +96,8 @@ impl<V> DocResultCache<V> {
 
     /// The cached value for `key`, if one was computed at the *current*
     /// version. Entries tagged with an older version never escape (they are
-    /// cleared eagerly by [`DocResultCache::bump`], so this is belt and
-    /// braces against direct `set_version` misuse). A hit refreshes the
+    /// cleared eagerly by [`DocResultCache::set_version`], so this is belt
+    /// and braces). A hit refreshes the
     /// entry's LRU recency (hence `&mut self`).
     pub fn get(&mut self, key: &CacheKey) -> Option<&V> {
         let version = self.version;
@@ -138,7 +121,7 @@ impl<V> DocResultCache<V> {
         if computed_at != self.version {
             return false;
         }
-        if self.entries.len() >= self.max_entries && !self.entries.contains_key(&key) {
+        if self.entries.len() >= DEFAULT_MAX_CACHE_ENTRIES && !self.entries.contains_key(&key) {
             // O(cap) scan; the cap is small and eviction only runs when a
             // *new* key lands in a full cache.
             if let Some(lru) = self
@@ -169,11 +152,6 @@ impl<V> DocResultCache<V> {
         self.entries.clear();
     }
 
-    /// The entry cap.
-    pub fn capacity(&self) -> usize {
-        self.max_entries
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -200,7 +178,7 @@ mod tests {
         let mut cache: DocResultCache<&'static str> = DocResultCache::new(7);
         assert!(cache.insert(CacheKey::Consistency, 7, "ok"));
         assert_eq!(cache.get(&CacheKey::Consistency), Some(&"ok"));
-        assert_eq!(cache.bump(), 8);
+        cache.set_version(8);
         assert_eq!(cache.get(&CacheKey::Consistency), None);
         assert!(cache.is_empty());
     }
@@ -209,7 +187,7 @@ mod tests {
     fn stale_compute_results_are_discarded_at_insert() {
         let mut cache: DocResultCache<u32> = DocResultCache::new(3);
         // A computation started at version 3; an edit lands meanwhile.
-        cache.bump();
+        cache.set_version(4);
         assert!(!cache.insert(CacheKey::CanonicalSolution, 3, 42));
         assert_eq!(cache.get(&CacheKey::CanonicalSolution), None);
         // The re-computation at the current version sticks.
@@ -217,49 +195,56 @@ mod tests {
         assert_eq!(cache.get(&CacheKey::CanonicalSolution), Some(&43));
     }
 
+    const CAP: usize = DEFAULT_MAX_CACHE_ENTRIES;
+
+    fn query(i: usize) -> CacheKey {
+        CacheKey::CertainAnswers(format!("q{i}"))
+    }
+
     #[test]
     fn entry_count_is_bounded_with_lru_eviction() {
         // The regression: many distinct query texts at one pinned version
         // must not grow the cache past its cap.
-        let mut cache: DocResultCache<usize> = DocResultCache::with_capacity(0, 4);
-        for i in 0..1000 {
-            assert!(cache.insert(CacheKey::CertainAnswers(format!("q{i}")), 0, i));
-            assert!(cache.len() <= 4, "cache grew past its cap at insert {i}");
+        let mut cache: DocResultCache<usize> = DocResultCache::new(0);
+        for i in 0..=CAP {
+            assert!(cache.insert(query(i), 0, i));
+            assert!(cache.len() <= CAP, "cache grew past its cap at insert {i}");
         }
-        // The most recent four survive.
-        for i in 996..1000 {
-            assert_eq!(
-                cache.get(&CacheKey::CertainAnswers(format!("q{i}"))),
-                Some(&i)
-            );
+        // The most recent `CAP` survive; the first key was evicted.
+        for i in 1..=CAP {
+            assert_eq!(cache.get(&query(i)), Some(&i));
         }
-        assert_eq!(cache.get(&CacheKey::CertainAnswers("q0".into())), None);
+        assert_eq!(cache.get(&query(0)), None);
     }
 
     #[test]
     fn get_refreshes_recency() {
-        let mut cache: DocResultCache<u32> = DocResultCache::with_capacity(0, 2);
-        cache.insert(CacheKey::Consistency, 0, 1);
-        cache.insert(CacheKey::CanonicalSolution, 0, 2);
-        // Touch the older entry, then insert a third key: the *untouched*
-        // middle entry is the LRU victim.
-        assert_eq!(cache.get(&CacheKey::Consistency), Some(&1));
-        cache.insert(CacheKey::CertainBoolean("q".into()), 0, 3);
-        assert_eq!(cache.get(&CacheKey::Consistency), Some(&1));
-        assert_eq!(cache.get(&CacheKey::CanonicalSolution), None);
-        assert_eq!(cache.get(&CacheKey::CertainBoolean("q".into())), Some(&3));
+        let mut cache: DocResultCache<usize> = DocResultCache::new(0);
+        for i in 0..CAP {
+            cache.insert(query(i), 0, i);
+        }
+        // Touch the oldest entry, then insert one more key: the *untouched*
+        // second-oldest entry is the LRU victim.
+        assert_eq!(cache.get(&query(0)), Some(&0));
+        cache.insert(query(CAP), 0, CAP);
+        assert_eq!(cache.get(&query(0)), Some(&0));
+        assert_eq!(cache.get(&query(1)), None);
+        assert_eq!(cache.get(&query(CAP)), Some(&CAP));
     }
 
     #[test]
     fn reinserting_an_existing_key_does_not_evict() {
-        let mut cache: DocResultCache<u32> = DocResultCache::with_capacity(0, 2);
-        cache.insert(CacheKey::Consistency, 0, 1);
-        cache.insert(CacheKey::CanonicalSolution, 0, 2);
-        // Overwrite in place at the cap: both keys must survive.
-        cache.insert(CacheKey::Consistency, 0, 9);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&CacheKey::Consistency), Some(&9));
-        assert_eq!(cache.get(&CacheKey::CanonicalSolution), Some(&2));
+        let mut cache: DocResultCache<usize> = DocResultCache::new(0);
+        for i in 0..CAP {
+            cache.insert(query(i), 0, i);
+        }
+        // Overwrite in place at the cap: every key must survive.
+        cache.insert(query(0), 0, 99);
+        assert_eq!(cache.len(), CAP);
+        assert_eq!(cache.get(&query(0)), Some(&99));
+        for i in 1..CAP {
+            assert_eq!(cache.get(&query(i)), Some(&i));
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * the [`CompiledDtd`]s of both schemas (interned symbols + dense-table
 //!   DFAs; shared with the `Dtd` itself, so repeated `CompiledSetting`
 //!   construction is cheap);
-//! * per-STD compiled patterns ([`CompiledPattern`]), shared/target-only
-//!   variable sets and fully-specified/wildcard flags;
+//! * per-STD join-ordered pattern plans ([`PatternPlan`], label tests
+//!   resolved against the DTDs' interners), shared/target-only variable
+//!   sets and fully-specified/wildcard flags;
 //! * lazily, per-element [`RepairContext`]s for the chase (`ChangeReg`), the
 //!   `D°`/`D*` unique-tree plan for the nested-relational consistency check
 //!   of Theorem 4.5, and the automata solvers of the general check of
@@ -31,7 +32,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock, RwLock};
 use xdx_automata::PatternSatisfiability;
-use xdx_patterns::compiled::{holds_in_matches, CompiledPattern, InternedLabels};
 use xdx_patterns::plan::{EvalScratch, PatternPlan, TreeIndex};
 use xdx_patterns::{TreePattern, Var};
 use xdx_relang::repair::{RepairConfig, RepairContext};
@@ -45,17 +45,12 @@ pub struct CompiledStd {
     /// Target-only variables (`z̄`), precomputed so every instantiation of
     /// the target pattern skips the per-match set algebra.
     pub target_only_vars: Vec<Var>,
-    /// The source pattern compiled against the source DTD's interner.
-    pub source_compiled: CompiledPattern,
-    /// The target pattern compiled against the target DTD's interner.
-    pub target_compiled: CompiledPattern,
-    /// The source pattern's join-ordered evaluation plan, built on first
-    /// document and reused across every source document of every batch.
-    /// Lazy so consistency-only callers (which never evaluate STD patterns
-    /// against documents) pay nothing for it.
-    source_plan: OnceLock<PatternPlan>,
-    /// The target pattern's join-ordered evaluation plan (lazy, see above).
-    target_plan: OnceLock<PatternPlan>,
+    /// The source pattern's join-ordered evaluation plan against the source
+    /// DTD, reused across every source document of every batch.
+    pub source_plan: PatternPlan,
+    /// The target pattern's join-ordered evaluation plan against the target
+    /// DTD.
+    pub target_plan: PatternPlan,
     /// The target pattern flattened for template stamping (`None` exactly
     /// when the target uses a wildcard or is not fully specified — those
     /// STDs error out of pre-solution construction before instantiation).
@@ -68,20 +63,6 @@ pub struct CompiledStd {
     pub target_fully_specified: bool,
     /// Does the target pattern use a wildcard?
     pub target_uses_wildcard: bool,
-}
-
-impl CompiledStd {
-    /// The source pattern's join-ordered evaluation plan.
-    pub fn source_plan(&self) -> &PatternPlan {
-        self.source_plan
-            .get_or_init(|| PatternPlan::from_compiled(&self.source_compiled))
-    }
-
-    /// The target pattern's join-ordered evaluation plan.
-    pub fn target_plan(&self) -> &PatternPlan {
-        self.target_plan
-            .get_or_init(|| PatternPlan::from_compiled(&self.target_compiled))
-    }
 }
 
 /// Precomputed plan for the nested-relational consistency check of
@@ -282,8 +263,6 @@ fn assert_send_sync() {
     check::<CompiledSetting<'static>>();
     check::<CompiledStd>();
     check::<CompiledDtd>();
-    check::<CompiledPattern>();
-    check::<InternedLabels>();
     check::<PatternPlan>();
     check::<TreeIndex>();
     check::<NestedRelationalPlan>();
@@ -319,8 +298,6 @@ impl<'s> CompiledSetting<'s> {
             .iter()
             .map(|std| {
                 forced_target_elements.extend(std.target.element_types());
-                let source_compiled = CompiledPattern::new(&std.source, &source);
-                let target_compiled = CompiledPattern::new(&std.target, &target);
                 // One free-vars pass per side covers both variable sets
                 // (`Std::{shared,target_only}_vars` would each redo both).
                 let source_vars = std.source.free_vars();
@@ -331,10 +308,8 @@ impl<'s> CompiledSetting<'s> {
                     target_template: TargetTemplate::new(&std.target, &shared_vars),
                     shared_vars,
                     target_only_vars: target_vars.difference(&source_vars).cloned().collect(),
-                    source_plan: OnceLock::new(),
-                    target_plan: OnceLock::new(),
-                    source_compiled,
-                    target_compiled,
+                    source_plan: PatternPlan::new(&std.source, &source),
+                    target_plan: PatternPlan::new(&std.target, &target),
                     erased_source: std.source.erase_attributes(),
                     erased_target: std.target.erase_attributes(),
                     target_fully_specified: std.target.is_fully_specified(target_root),
@@ -444,7 +419,7 @@ impl<'s> CompiledSetting<'s> {
             // interned assignment ids inside the plan's store, and each
             // surviving match is template-stamped — bulk arena reservation
             // plus slot fills, no per-match recursion or `BTreeMap`.
-            cstd.source_plan().try_for_each_restricted_match_with(
+            cstd.source_plan.try_for_each_restricted_match_with(
                 source_tree,
                 index,
                 &cstd.shared_vars,
@@ -851,19 +826,21 @@ impl<'s> CompiledSetting<'s> {
         let source_index = TreeIndex::new(source_tree, &self.source);
         let target_index = TreeIndex::new(target_tree, &self.target);
         for cstd in &self.stds {
-            let target_matches = cstd.target_plan().all_matches(target_tree, &target_index);
+            let target_matches = cstd.target_plan.all_matches(target_tree, &target_index);
             let all_hold = cstd
-                .source_plan()
+                .source_plan
                 .try_for_each_restricted_match(
                     source_tree,
                     &source_index,
                     &cstd.shared_vars,
-                    |restricted| {
-                        if holds_in_matches(&target_matches, restricted) {
-                            Ok(())
-                        } else {
-                            Err(())
-                        }
+                    |sigma| {
+                        // `T' ⊨ ψ(σ)`: some match of `ψ` agrees with `σ`
+                        // on every variable `σ` binds.
+                        let holds = target_matches.iter().any(|m| {
+                            m.iter()
+                                .all(|(var, value)| sigma.get(var).is_none_or(|e| e == value))
+                        });
+                        holds.then_some(()).ok_or(())
                     },
                 )
                 .is_ok();

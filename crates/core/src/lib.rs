@@ -49,7 +49,7 @@ pub mod setting;
 pub mod solution;
 mod template;
 
-pub use cache::{CacheKey, Cached, DocResultCache};
+pub use cache::{CacheKey, DocResultCache};
 pub use certain::{
     certain_answers, certain_answers_boolean, certain_tuples, certain_tuples_planned,
     certain_tuples_planned_with, CertainAnswers,

@@ -123,15 +123,10 @@ pub fn all_matches_reference(tree: &XmlTree, pattern: &TreePattern) -> Vec<Assig
     out
 }
 
-/// Does `T ⊨ ϕ(σ)` hold for a (total) assignment `σ` of the free variables?
-///
-/// Variables of the pattern missing from `σ` are treated existentially.
-pub fn holds(tree: &XmlTree, pattern: &TreePattern, assignment: &Assignment) -> bool {
-    holds_in(&all_matches(tree, pattern), assignment)
-}
-
-/// As [`holds`], on the reference evaluator — used by the `*_reference`
-/// pipeline functions in `xdx-core` so they stay a frozen baseline.
+/// Does `T ⊨ ϕ(σ)` hold for a (total) assignment `σ` of the free variables,
+/// on the reference evaluator? Variables of the pattern missing from `σ` are
+/// treated existentially. Used by the `*_reference` pipeline functions in
+/// `xdx-core` so they stay a frozen baseline.
 pub fn holds_reference(tree: &XmlTree, pattern: &TreePattern, assignment: &Assignment) -> bool {
     holds_in(&all_matches_reference(tree, pattern), assignment)
 }
@@ -295,13 +290,13 @@ mod tests {
         let mut sigma = Assignment::new();
         sigma.insert(Var::new("x"), Value::constant("Computational Complexity"));
         sigma.insert(Var::new("y"), Value::constant("Papadimitriou"));
-        assert!(holds(&t, &p, &sigma));
+        assert!(holds_reference(&t, &p, &sigma));
         sigma.insert(Var::new("y"), Value::constant("Steiglitz"));
-        assert!(!holds(&t, &p, &sigma));
+        assert!(!holds_reference(&t, &p, &sigma));
         // partial assignment: y existential
         let mut partial = Assignment::new();
         partial.insert(Var::new("x"), Value::constant("Combinatorial Optimization"));
-        assert!(holds(&t, &p, &partial));
+        assert!(holds_reference(&t, &p, &partial));
     }
 
     #[test]

@@ -29,25 +29,24 @@
 //! * [`parser`] — a compact text syntax used by tests, examples and gadgets
 //!   (`db[book(@title=$x)[author(@name=$y)]]`);
 //! * [`eval`] — pattern matching over [`xdx_xmltree::XmlTree`]s, producing
-//!   variable assignments;
+//!   variable assignments, and the recursive reference evaluator
+//!   ([`eval::all_matches_reference`]) that every fast path is
+//!   differential-tested against;
 //! * [`query`] — conjunctive tree queries and unions with set semantics
 //!   evaluation;
 //! * [`homomorphism`] — homomorphisms between XML trees (Lemma 6.14), the
 //!   tool behind the correctness of canonical solutions;
-//! * [`compiled`] — the interned-symbol fast path: patterns resolved once
-//!   against a [`xdx_xmltree::CompiledDtd`] so evaluation compares dense
-//!   `u32` symbols instead of strings (differential-tested against
-//!   [`eval`]);
-//! * [`plan`] — the join-ordered planned evaluator: per-node candidate sets
-//!   from a one-pass label index of the tree, child/descendant edges joined
-//!   in ascending cardinality order, hashed-assignment dedup. This is what
-//!   [`eval::all_matches`] and the compiled layer actually run;
-//!   [`eval::all_matches_reference`] stays as the oracle.
+//! * [`plan`] — the one fast evaluator: a pattern is flattened straight into
+//!   a join-ordered plan, its label tests resolved once against a
+//!   [`xdx_xmltree::CompiledDtd`] (dense `u32` symbols) or DTD-less; per-node
+//!   candidate sets come from a one-pass label index of the tree,
+//!   child/descendant edges are joined in ascending cardinality order, and
+//!   assignments are deduplicated by hash. [`eval::all_matches`], the query
+//!   evaluators and `xdx-core`'s compiled setting all run on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compiled;
 pub mod eval;
 pub mod homomorphism;
 pub mod parser;
@@ -55,8 +54,7 @@ pub mod pattern;
 pub mod plan;
 pub mod query;
 
-pub use compiled::{all_matches_compiled, holds_in_matches, CompiledPattern, InternedLabels};
-pub use eval::{all_matches, all_matches_reference, holds, matches_at, Assignment};
+pub use eval::{all_matches, all_matches_reference, matches_at, Assignment};
 pub use homomorphism::{find_homomorphism, is_homomorphism, Homomorphism};
 pub use parser::{parse_pattern, parse_query, PatternParseError, QueryParseError};
 pub use pattern::{AttrBinding, AttrFormula, LabelTest, Term, TreePattern, Var};

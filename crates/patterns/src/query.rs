@@ -11,9 +11,9 @@
 //! `CTQ//,∪`. A query evaluates to a set of tuples of attribute values (its
 //! head), which is what the certain-answer semantics of data exchange needs.
 
-use crate::eval::{all_matches, merge_assignments, Assignment};
 use crate::pattern::{TreePattern, Var};
-use std::collections::{BTreeSet, HashSet};
+use crate::plan::{QueryPlan, TreeIndex};
+use std::collections::BTreeSet;
 use std::fmt;
 use xdx_xmltree::{Value, XmlTree};
 
@@ -163,42 +163,11 @@ impl ConjunctiveTreeQuery {
     /// Evaluate the query over a tree, returning the set of head tuples.
     ///
     /// For a Boolean query the result is either `{()}` (true: one empty
-    /// tuple) or `{}` (false).
+    /// tuple) or `{}` (false). Runs on the DTD-less planned evaluator
+    /// ([`crate::plan::QueryPlan`]), planning per call.
     pub fn evaluate(&self, tree: &XmlTree) -> BTreeSet<Vec<Value>> {
-        let mut assignments: Vec<Assignment> = vec![Assignment::new()];
-        for pattern in &self.patterns {
-            let relation = all_matches(tree, pattern);
-            let mut next: Vec<Assignment> = Vec::new();
-            let mut seen: HashSet<Vec<(Var, Value)>> = HashSet::new();
-            for a in &assignments {
-                for b in &relation {
-                    if let Some(merged) = merge_assignments(a, b) {
-                        let key: Vec<(Var, Value)> =
-                            merged.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                        if seen.insert(key) {
-                            next.push(merged);
-                        }
-                    }
-                }
-            }
-            assignments = next;
-            if assignments.is_empty() {
-                return BTreeSet::new();
-            }
-        }
-        assignments
-            .into_iter()
-            .map(|a| {
-                self.head
-                    .iter()
-                    .map(|v| {
-                        a.get(v)
-                            .cloned()
-                            .expect("head variable bound by construction")
-                    })
-                    .collect()
-            })
-            .collect()
+        QueryPlan::build(std::slice::from_ref(self), None)
+            .evaluate(tree, &TreeIndex::without_dtd(tree))
     }
 
     /// Evaluate a Boolean query.
@@ -274,18 +243,15 @@ impl UnionQuery {
         }
     }
 
-    /// Evaluate the union over a tree.
+    /// Evaluate the union over a tree (on the DTD-less planned evaluator,
+    /// planning per call; hold a [`QueryPlan`] to plan once).
     pub fn evaluate(&self, tree: &XmlTree) -> BTreeSet<Vec<Value>> {
-        let mut out = BTreeSet::new();
-        for b in &self.branches {
-            out.extend(b.evaluate(tree));
-        }
-        out
+        QueryPlan::without_dtd(self).evaluate(tree, &TreeIndex::without_dtd(tree))
     }
 
     /// Evaluate a Boolean union query.
     pub fn evaluate_boolean(&self, tree: &XmlTree) -> bool {
-        self.branches.iter().any(|b| b.evaluate_boolean(tree))
+        QueryPlan::without_dtd(self).evaluate_boolean(tree, &TreeIndex::without_dtd(tree))
     }
 
     /// A size measure.

@@ -51,7 +51,7 @@
 //! a connection whose peer stops reading may buffer at most
 //! [`ServerConfig::max_buffered_response_bytes`] of pending responses
 //! before it is closed, so un-drained output is bounded too. Frames whose
-//! announced length exceeds [`ServerConfig::max_frame_bytes`] poison the
+//! announced length exceeds [`wire::MAX_FRAME_BYTES`] poison the
 //! connection (error frame, flush, close), since the stream can no longer
 //! be framed safely; merely malformed payloads only fail their own request.
 //!
@@ -103,26 +103,26 @@ use xdx_xmltree::XmlTree;
 /// copies and bookkeeping — the chase itself runs unlocked).
 type ServerStore = Mutex<DocStore<DocAnswer>>;
 
+/// Maximum simultaneous connections; beyond it, new sockets are accepted and
+/// immediately closed.
+pub const MAX_CONNECTIONS: usize = 1024;
+
+/// Cap on setting *bindings* (v3 registry), counting the pinned default
+/// binding 0. `PutSetting` of a new id beyond it answers
+/// [`wire::ErrorCode::SettingLimit`].
+pub const MAX_SETTINGS: usize = 64;
+
 /// Server tuning knobs; the defaults suit tests and small deployments.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads computing responses (0 = available parallelism).
     pub workers: usize,
-    /// Maximum request-frame payload size; larger announced lengths poison
-    /// the connection.
-    pub max_frame_bytes: usize,
-    /// Maximum documents in one request (micro-batch size cap; the
-    /// protocol's own cap [`wire::MAX_DOCS_PER_REQUEST`] applies on top).
-    pub max_docs_per_request: usize,
     /// Per-connection pipelining cap: unanswered requests beyond this get
     /// `Busy`.
     pub max_inflight_per_conn: usize,
     /// Global in-flight budget across all connections: requests beyond this
     /// get `Busy`.
     pub max_inflight_total: usize,
-    /// Maximum simultaneous connections; beyond it, new sockets are
-    /// accepted and immediately closed.
-    pub max_connections: usize,
     /// Per-connection cap on *buffered* (computed but unwritable) response
     /// bytes. A client that pipelines requests without ever reading its
     /// responses would otherwise grow the write buffer without bound —
@@ -150,10 +150,6 @@ pub struct ServerConfig {
     /// server's WAL stays bounded by roughly this plus one record, instead
     /// of growing until clean shutdown. Ignored when the store is disabled.
     pub wal_checkpoint_bytes: u64,
-    /// Cap on setting *bindings* (v3 registry), counting the pinned
-    /// default binding 0. `PutSetting` of a new id beyond it answers
-    /// [`wire::ErrorCode::SettingLimit`].
-    pub max_settings: usize,
     /// Cost budget of the compiled-setting LRU cache, in canonical
     /// setting-text bytes. Past it, least-recently-used artifacts are
     /// evicted (bindings, their text, and their stored documents survive;
@@ -161,7 +157,7 @@ pub struct ServerConfig {
     pub max_compiled_cost: u64,
     /// Close a connection with no unanswered requests, no pending output
     /// and no partial frame after this long without activity, so abandoned
-    /// sockets cannot pin `max_connections` slots forever. `None` disables
+    /// sockets cannot pin [`MAX_CONNECTIONS`] slots forever. `None` disables
     /// the check.
     pub idle_timeout: Option<Duration>,
     /// A started request frame must *complete* within this long of its
@@ -182,17 +178,13 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 0,
-            max_frame_bytes: wire::DEFAULT_MAX_FRAME_BYTES,
-            max_docs_per_request: 64,
             max_inflight_per_conn: 32,
             max_inflight_total: 256,
-            max_connections: 1024,
             max_buffered_response_bytes: 64 * 1024 * 1024,
             chunk_bytes: 256 * 1024,
             store_dir: None,
             max_resident_docs: 1024,
             wal_checkpoint_bytes: xdx_xmltree::limits::DEFAULT_FRAME_BYTES as u64,
-            max_settings: 64,
             max_compiled_cost: 64 * xdx_core::settext::MAX_SETTING_TEXT_BYTES as u64,
             idle_timeout: Some(Duration::from_secs(60)),
             read_progress_timeout: Some(Duration::from_secs(10)),
@@ -242,14 +234,10 @@ impl ServerConfig {
     /// bounds the budgets exist to enforce.
     pub fn validate(&self) -> Result<(), ConfigError> {
         use xdx_xmltree::limits::MAX_DOCUMENT_BYTES;
-        let positive: [(&'static str, usize); 8] = [
-            ("max_frame_bytes", self.max_frame_bytes),
-            ("max_docs_per_request", self.max_docs_per_request),
+        let positive: [(&'static str, usize); 4] = [
             ("max_inflight_per_conn", self.max_inflight_per_conn),
             ("max_inflight_total", self.max_inflight_total),
-            ("max_connections", self.max_connections),
             ("chunk_bytes", self.chunk_bytes),
-            ("max_settings", self.max_settings),
             (
                 "max_compiled_cost",
                 self.max_compiled_cost.min(usize::MAX as u64) as usize,
@@ -265,18 +253,10 @@ impl ServerConfig {
                 field: "max_buffered_response_bytes",
             });
         }
-        let capped: [(&'static str, usize, usize); 8] = [
+        let capped: [(&'static str, usize, usize); 4] = [
             ("workers", self.workers, 4096),
-            ("max_frame_bytes", self.max_frame_bytes, MAX_DOCUMENT_BYTES),
-            (
-                "max_docs_per_request",
-                self.max_docs_per_request,
-                wire::MAX_DOCS_PER_REQUEST,
-            ),
             ("max_inflight_per_conn", self.max_inflight_per_conn, 1 << 20),
             ("max_inflight_total", self.max_inflight_total, 1 << 20),
-            ("max_connections", self.max_connections, 1 << 20),
-            ("max_settings", self.max_settings, 1 << 20),
             ("chunk_bytes", self.chunk_bytes, MAX_DOCUMENT_BYTES),
         ];
         for (field, value, max) in capped {
@@ -473,7 +453,7 @@ struct ServerStats {
     /// Per-`(op, setting)` phase histograms, where the setting is `None`
     /// for every request whose id was not bound when it was retired. The
     /// map only ever grows, but bindings are capped and never removed, so
-    /// it holds at most 18 ops × (`max_settings` + 1) entries; reads take
+    /// it holds at most 18 ops × ([`MAX_SETTINGS`] + 1) entries; reads take
     /// the lock briefly to clone the `Arc`, records then run lock-free on
     /// the histograms themselves.
     phases: RwLock<HashMap<PhaseKey, Arc<PhaseSet>>>,
@@ -824,7 +804,7 @@ impl Server {
         let registry = Arc::new(Registry::new(
             CompiledSetting::new_owned(Arc::new(setting.clone())),
             setting_to_text(setting),
-            config.max_settings,
+            MAX_SETTINGS,
             config.max_compiled_cost,
         ));
         Ok(Server {
@@ -1808,7 +1788,7 @@ impl EventLoop<'_> {
     }
 
     fn register(&mut self, stream: Duplex) {
-        if self.live_conns >= self.config.max_connections {
+        if self.live_conns >= MAX_CONNECTIONS {
             return; // drop the socket: accept-and-close sheds load
         }
         if stream.set_nonblocking(true).is_err() {
@@ -1935,7 +1915,7 @@ impl EventLoop<'_> {
             }
             let header = &conn.rbuf[conn.rpos..conn.rpos + 4];
             let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-            if len == 0 || len > self.config.max_frame_bytes {
+            if len == 0 || len > wire::MAX_FRAME_BYTES {
                 // The stream cannot be re-synchronised: poison it.
                 let code = if len == 0 {
                     wire::ErrorCode::MalformedFrame
@@ -1948,7 +1928,7 @@ impl EventLoop<'_> {
                         code,
                         format!(
                             "frame length {len} outside 1..={}; closing",
-                            self.config.max_frame_bytes
+                            wire::MAX_FRAME_BYTES
                         ),
                     )),
                 };
@@ -2004,7 +1984,7 @@ impl EventLoop<'_> {
             .and_then(Option::as_ref)
             .map(|c| c.codec)
             .unwrap_or_default();
-        let request = match wire::decode_request(payload, self.config.max_docs_per_request, codec) {
+        let request = match wire::decode_request(payload, codec) {
             Ok(request) => {
                 trace.step(PHASE_DECODE);
                 request

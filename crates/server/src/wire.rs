@@ -36,13 +36,14 @@ use xdx_patterns::QueryParseError;
 use xdx_xmltree::binary::ByteSink;
 use xdx_xmltree::{parse_tree, tree_to_text, XmlTree};
 
-/// Hard protocol cap on documents per request (servers may configure a
-/// lower one).
-pub const MAX_DOCS_PER_REQUEST: usize = 1024;
+/// Protocol cap on documents per request (the micro-batch size): a request
+/// carrying more fails to decode with [`ErrorCode::TooManyDocs`].
+pub const MAX_DOCS_PER_REQUEST: usize = 64;
 
-/// Default cap on a request frame's payload size (servers may configure).
-/// Shared with the codecs' own guard rails (`xdx_xmltree::limits`).
-pub const DEFAULT_MAX_FRAME_BYTES: usize = xdx_xmltree::limits::DEFAULT_FRAME_BYTES;
+/// Cap on a request frame's payload size: a larger announced length poisons
+/// the connection. Shared with the codecs' own guard rails
+/// (`xdx_xmltree::limits`).
+pub const MAX_FRAME_BYTES: usize = xdx_xmltree::limits::DEFAULT_FRAME_BYTES;
 
 /// Feature flag: documents travel as [`xdx_xmltree::binary`] frames instead
 /// of tree text (both directions). The only negotiated feature: the setting
@@ -961,18 +962,13 @@ fn read_doc(r: &mut Reader<'_>, codec: Codec) -> Result<WireDoc, DecodeError> {
     }
 }
 
-fn read_docs(
-    r: &mut Reader<'_>,
-    max_docs: usize,
-    codec: Codec,
-) -> Result<Vec<WireDoc>, DecodeError> {
+fn read_docs(r: &mut Reader<'_>, codec: Codec) -> Result<Vec<WireDoc>, DecodeError> {
     let n = r.u16()? as usize;
-    let cap = MAX_DOCS_PER_REQUEST.min(max_docs);
-    if n > cap {
+    if n > MAX_DOCS_PER_REQUEST {
         return Err(DecodeError::new(
             r.id,
             ErrorCode::TooManyDocs,
-            format!("{n} documents exceed the limit of {cap}"),
+            format!("{n} documents exceed the limit of {MAX_DOCS_PER_REQUEST}"),
         ));
     }
     let mut docs = Vec::with_capacity(n);
@@ -1287,14 +1283,9 @@ pub fn encode_request(req: &RequestFrame) -> Vec<u8> {
     out
 }
 
-/// Decode a request payload. `max_docs` is the server's configured
-/// per-request document cap (the protocol cap [`MAX_DOCS_PER_REQUEST`]
-/// applies on top); `codec` is the connection's negotiated document codec.
-pub fn decode_request(
-    payload: &[u8],
-    max_docs: usize,
-    codec: Codec,
-) -> Result<RequestFrame, DecodeError> {
+/// Decode a request payload (at most [`MAX_DOCS_PER_REQUEST`] documents);
+/// `codec` is the connection's negotiated document codec.
+pub fn decode_request(payload: &[u8], codec: Codec) -> Result<RequestFrame, DecodeError> {
     let mut r = Reader::new(payload);
     let op_raw = r.u8()?;
     r.id = r.u64()?;
@@ -1306,18 +1297,18 @@ pub fn decode_request(
         OpCode::Ping => RequestBody::Ping,
         OpCode::Hello => RequestBody::Hello { features: r.u32()? },
         OpCode::CheckConsistency => RequestBody::CheckConsistency {
-            docs: read_docs(&mut r, max_docs, codec)?,
+            docs: read_docs(&mut r, codec)?,
         },
         OpCode::CanonicalSolution => RequestBody::CanonicalSolution {
-            docs: read_docs(&mut r, max_docs, codec)?,
+            docs: read_docs(&mut r, codec)?,
         },
         OpCode::CertainAnswers => RequestBody::CertainAnswers {
             query: r.string()?,
-            docs: read_docs(&mut r, max_docs, codec)?,
+            docs: read_docs(&mut r, codec)?,
         },
         OpCode::CertainAnswersBoolean => RequestBody::CertainAnswersBoolean {
             query: r.string()?,
-            docs: read_docs(&mut r, max_docs, codec)?,
+            docs: read_docs(&mut r, codec)?,
         },
         OpCode::PutDoc => RequestBody::PutDoc {
             doc_id: r.u64()?,
@@ -1765,7 +1756,7 @@ mod tests {
     fn requests_round_trip() {
         for req in sample_requests() {
             let bytes = encode_request(&req);
-            let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text).unwrap();
+            let back = decode_request(&bytes, Codec::Text).unwrap();
             assert_eq!(req, back);
         }
     }
@@ -1791,7 +1782,7 @@ mod tests {
             },
         };
         let bytes = encode_request(&req);
-        let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Binary).unwrap();
+        let back = decode_request(&bytes, Codec::Binary).unwrap();
         assert_eq!(req, back);
         // The valid frame parses; the garbage one reports BinaryDoc.
         assert!(doc.to_tree().is_ok());
@@ -1818,7 +1809,7 @@ mod tests {
             body: RequestBody::CheckConsistency { docs: vec![doc] },
         };
         let bytes = encode_request(&req);
-        match decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text) {
+        match decode_request(&bytes, Codec::Text) {
             Ok(back) => {
                 // Framing is codec-independent, so it may decode as a
                 // text doc — which must then fail to parse as a tree.
@@ -1849,7 +1840,7 @@ mod tests {
             for req in sample_requests() {
                 let bytes = encode_request(&req);
                 for cut in 0..bytes.len() {
-                    let _ = decode_request(&bytes[..cut], MAX_DOCS_PER_REQUEST, codec);
+                    let _ = decode_request(&bytes[..cut], codec);
                 }
             }
             for resp in sample_responses() {
@@ -1866,7 +1857,7 @@ mod tests {
         for req in sample_requests() {
             let mut bytes = encode_request(&req);
             bytes.push(0);
-            let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text).unwrap_err();
+            let err = decode_request(&bytes, Codec::Text).unwrap_err();
             assert_eq!(err.error.code, ErrorCode::MalformedFrame);
             assert_eq!(err.id, req.id, "the id must still be echoed");
         }
@@ -1889,7 +1880,7 @@ mod tests {
         let mut bytes = vec![99u8];
         bytes.extend_from_slice(&42u64.to_be_bytes());
         bytes.extend_from_slice(&0u64.to_be_bytes()); // setting id
-        let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text).unwrap_err();
+        let err = decode_request(&bytes, Codec::Text).unwrap_err();
         assert_eq!(err.error.code, ErrorCode::UnknownOp);
         assert_eq!(err.id, 42);
 
@@ -1897,11 +1888,11 @@ mod tests {
             id: 5,
             setting_id: 0,
             body: RequestBody::CheckConsistency {
-                docs: vec![WireDoc::from("db"); 10],
+                docs: vec![WireDoc::from("db"); MAX_DOCS_PER_REQUEST + 1],
             },
         };
         let bytes = encode_request(&req);
-        let err = decode_request(&bytes, 4, Codec::Text).unwrap_err();
+        let err = decode_request(&bytes, Codec::Text).unwrap_err();
         assert_eq!(err.error.code, ErrorCode::TooManyDocs);
         assert_eq!(err.id, 5);
     }
@@ -1916,7 +1907,7 @@ mod tests {
             bytes.extend_from_slice(&0u64.to_be_bytes()); // setting id
             bytes.extend_from_slice(&u32::MAX.to_be_bytes());
             bytes.extend_from_slice(b"abc");
-            let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, codec).unwrap_err();
+            let err = decode_request(&bytes, codec).unwrap_err();
             assert_eq!(err.error.code, ErrorCode::MalformedFrame);
         }
     }
@@ -1977,7 +1968,7 @@ mod tests {
             assert_eq!(bytes[..9], default[..9]);
             assert_eq!(bytes[9..17], 0x0102_0304_0506_0708u64.to_be_bytes());
             assert_eq!(bytes[17..], default[17..]);
-            let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, Codec::Text).unwrap();
+            let back = decode_request(&bytes, Codec::Text).unwrap();
             assert_eq!(req, back);
         }
     }
@@ -1989,11 +1980,11 @@ mod tests {
                 req.setting_id = u64::MAX;
                 let bytes = encode_request(&req);
                 for cut in 0..bytes.len() {
-                    let _ = decode_request(&bytes[..cut], MAX_DOCS_PER_REQUEST, codec);
+                    let _ = decode_request(&bytes[..cut], codec);
                 }
                 let mut bytes = bytes;
                 bytes.push(0);
-                let err = decode_request(&bytes, MAX_DOCS_PER_REQUEST, codec).unwrap_err();
+                let err = decode_request(&bytes, codec).unwrap_err();
                 assert_eq!(err.error.code, ErrorCode::MalformedFrame);
                 assert_eq!(err.id, req.id);
             }

@@ -400,16 +400,6 @@ impl CompiledDtd {
         }
     }
 
-    /// Intern every node label of `tree`, indexed by `NodeId::index()`.
-    /// Unknown labels come back as `None`.
-    pub fn intern_tree(&self, tree: &XmlTree) -> Vec<Option<Sym>> {
-        let mut out = vec![None; tree.arena_len()];
-        for node in tree.nodes() {
-            out[node.index()] = self.elements.get(tree.label(node));
-        }
-        out
-    }
-
     /// Ordered conformance `T ⊨ D` (fast path; bails on the first
     /// violation).
     pub fn conforms(&self, tree: &XmlTree) -> bool {
@@ -746,17 +736,5 @@ mod tests {
         }
         assert!(!c.conforms(&bad));
         assert!(!dtd.conforms_reference(&bad));
-    }
-
-    #[test]
-    fn intern_tree_maps_known_and_unknown_labels() {
-        let d = source_dtd();
-        let mut t = crate::tree::XmlTree::new("db");
-        let b = t.add_child(t.root(), "book");
-        let x = t.add_child(b, "mystery");
-        let syms = d.compiled().intern_tree(&t);
-        assert!(syms[t.root().index()].is_some());
-        assert!(syms[b.index()].is_some());
-        assert!(syms[x.index()].is_none());
     }
 }

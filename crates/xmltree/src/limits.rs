@@ -11,8 +11,8 @@
 //!
 //! The hard caps are deliberately generous — they are memory-safety bombs
 //! against hostile or corrupt inputs, not serving policy. Serving policy
-//! (per-request frame caps, per-batch document counts) stays configurable
-//! at the server and is bounded above by these.
+//! (the wire protocol's request-frame and per-request document caps) lives
+//! in the server crate and is bounded above by these.
 
 /// Hard upper bound on the byte length of a single encoded document, in
 /// either codec. Both decoders reject longer inputs before doing any work.
@@ -36,6 +36,6 @@ pub const MAX_DOCUMENT_DEPTH: usize = 1 << 22;
 
 /// Default per-frame byte budget for layers that ship documents inside
 /// length-prefixed frames: the server's request frame cap
-/// (`ServerConfig::max_frame_bytes`) and the store's per-record WAL /
-/// snapshot-frame sanity cap both default to this.
+/// (`xdx_server::wire::MAX_FRAME_BYTES`) is this, and the store's
+/// per-record WAL / snapshot-frame sanity cap defaults to it.
 pub const DEFAULT_FRAME_BYTES: usize = 8 * 1024 * 1024;

@@ -341,8 +341,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(192)))]
 
-    /// Query plans: DTD-interned and DTD-less joins both equal a reference
-    /// join assembled from oracle relations only.
+    /// Query plans: DTD-interned and DTD-less joins, and the public
+    /// `UnionQuery::evaluate{,_boolean}` that run on them, all equal a
+    /// reference join assembled from oracle relations only.
     #[test]
     fn query_plans_equal_reference_join(
         seed in 0u64..u64::MAX,
@@ -383,6 +384,17 @@ proptest! {
         prop_assert!(
             dtdless == expected,
             "DTD-less query plan diverged on {}",
+            union
+        );
+        prop_assert!(
+            union.evaluate(&tree) == expected,
+            "UnionQuery::evaluate diverged on {}",
+            union
+        );
+        let holds = !expected.is_empty();
+        prop_assert!(
+            union.evaluate_boolean(&tree) == holds,
+            "UnionQuery::evaluate_boolean diverged on {}",
             union
         );
     }

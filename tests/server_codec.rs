@@ -8,8 +8,7 @@
 use proptest::prelude::*;
 use xdx_server::wire::{
     decode_request, decode_response, encode_request, encode_response, Codec, DocResult, ErrorCode,
-    RequestBody, RequestFrame, ResponseBody, ResponseFrame, WireDoc, WireError,
-    MAX_DOCS_PER_REQUEST, SUPPORTED_FEATURES,
+    RequestBody, RequestFrame, ResponseBody, ResponseFrame, WireDoc, WireError, SUPPORTED_FEATURES,
 };
 use xdx_xmltree::binary::{decode_tree, encode_tree};
 use xdx_xmltree::{NullId, Value, XmlTree};
@@ -188,7 +187,7 @@ proptest! {
         let codec = random_codec(&mut rng);
         let req = random_request(&mut rng, codec);
         let bytes = encode_request(&req);
-        let back = decode_request(&bytes, MAX_DOCS_PER_REQUEST, codec);
+        let back = decode_request(&bytes, codec);
         prop_assert_eq!(Ok(req), back);
     }
 
@@ -216,7 +215,7 @@ proptest! {
         if !bytes.is_empty() {
             let cut = (rng.next_u64() as usize) % bytes.len();
             for codec in [Codec::Text, Codec::Binary] {
-                let _ = decode_request(&bytes[..cut], MAX_DOCS_PER_REQUEST, codec);
+                let _ = decode_request(&bytes[..cut], codec);
                 let _ = decode_response(&bytes[..cut], codec);
             }
         }
@@ -226,12 +225,12 @@ proptest! {
             let at = (rng.next_u64() as usize) % corrupted.len();
             corrupted[at] ^= 1 << (rng.next_u64() % 8);
             for codec in [Codec::Text, Codec::Binary] {
-                let _ = decode_request(&corrupted, MAX_DOCS_PER_REQUEST, codec);
+                let _ = decode_request(&corrupted, codec);
                 let _ = decode_response(&corrupted, codec);
             }
         }
         // A decoded-then-re-encoded frame is stable (when it decodes).
-        if let Ok(req) = decode_request(&corrupted, MAX_DOCS_PER_REQUEST, codec) {
+        if let Ok(req) = decode_request(&corrupted, codec) {
             prop_assert_eq!(encode_request(&req).len(), corrupted.len());
         }
     }
@@ -242,7 +241,7 @@ proptest! {
         let len = (rng.next_u64() % 64) as usize;
         let garbage: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         for codec in [Codec::Text, Codec::Binary] {
-            let _ = decode_request(&garbage, MAX_DOCS_PER_REQUEST, codec);
+            let _ = decode_request(&garbage, codec);
             let _ = decode_response(&garbage, codec);
         }
     }

@@ -1098,6 +1098,31 @@ fn stats_v2_phase_histograms_cover_request_wall_time() {
     });
 }
 
+/// A threshold every request crosses makes every flushed exchange request
+/// count in `server.slow_requests` (and log a rate-limited line).
+#[test]
+fn requests_over_the_slow_threshold_are_counted() {
+    let setting = books_to_writers_setting();
+    let config = ServerConfig {
+        slow_request_threshold: Some(std::time::Duration::from_nanos(1)),
+        ..ServerConfig::default()
+    };
+    with_server(&setting, config, |addr, _sock| {
+        let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
+        let docs = sources(2);
+        let requests = 5u64;
+        for _ in 0..requests {
+            client.canonical_solution_texts(&docs).unwrap();
+        }
+        let stats = client.stats().unwrap();
+        let slow = stats.counter("server.slow_requests");
+        assert!(
+            slow >= Some(requests),
+            "{requests} requests over a 1 ns threshold, counter {slow:?}"
+        );
+    });
+}
+
 /// The row names of a snapshot: counters, then histograms.
 fn row_names(stats: &StatsSnapshot) -> (Vec<&str>, Vec<&str>) {
     (
