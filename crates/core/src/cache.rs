@@ -11,10 +11,11 @@
 //! is silently discarded at insertion instead of poisoning readers.
 //!
 //! The cache is deliberately generic in the cached value `V`: `xdx-core`
-//! callers can cache semantic results (solution trees, answer sets) while
-//! the server caches fully encoded response bodies for byte-for-byte reply
-//! parity. It is also deliberately *not* thread-safe — one cache belongs to
-//! one resident document, whose store already serialises mutation; the
+//! callers can cache semantic results (solution trees, answer sets); the
+//! server caches each document's answers tagged with the compiled setting
+//! that computed them, so a rebind of the setting never serves them. It
+//! is also deliberately *not* thread-safe — one cache belongs to one
+//! resident document, whose store already serialises mutation; the
 //! compute-outside-the-lock pattern is exactly what the `computed_at` tag
 //! at [`DocResultCache::insert`] makes safe.
 

@@ -812,6 +812,8 @@ impl QueryPlan {
     }
 
     /// As [`Self::evaluate_boolean`] on a caller-held [`EvalScratch`].
+    /// A branch stops at its first witness: the first merge that survives
+    /// its last relation.
     pub fn evaluate_boolean_with(
         &self,
         tree: &XmlTree,
@@ -819,27 +821,30 @@ impl QueryPlan {
         scratch: &mut EvalScratch,
     ) -> bool {
         self.branches.iter().any(|branch| {
-            let mut rows = BTreeSet::new();
             scratch.reset();
-            branch.evaluate_into(tree, index, &mut scratch.store, &mut rows);
-            !rows.is_empty()
+            !branch
+                .join(tree, index, &mut scratch.store, true)
+                .is_empty()
         })
     }
 }
 
 impl BranchPlan {
-    fn evaluate_into(
+    /// Join the branch's relations, smallest first, and return the distinct
+    /// assignments that survive them all — or, when `first_only`, just the
+    /// first one found (empty when there is none).
+    fn join(
         &self,
         tree: &XmlTree,
         index: &TreeIndex,
         store: &mut AssignStore,
-        out: &mut BTreeSet<Vec<Value>>,
-    ) {
+        first_only: bool,
+    ) -> Vec<AssignId> {
         let mut relations: Vec<Vec<AssignId>> = Vec::with_capacity(self.patterns.len());
         for pattern in &self.patterns {
             let relation = pattern.matches_ids(tree, index, store);
             if relation.is_empty() {
-                return;
+                return Vec::new();
             }
             relations.push(relation);
         }
@@ -848,12 +853,16 @@ impl BranchPlan {
         let mut acc: Vec<AssignId> = vec![0];
         let mut next: Vec<AssignId> = Vec::new();
         let mut seen: FxHashSet<AssignId> = FxHashSet::default();
-        for relation in &relations {
+        for (i, relation) in relations.iter().enumerate() {
+            let last = i + 1 == relations.len();
             next.clear();
             seen.clear();
             for &a in &acc {
                 for &b in relation {
                     if let Some(merged) = store.merge(a, b) {
+                        if first_only && last {
+                            return vec![merged];
+                        }
                         if seen.insert(merged) {
                             next.push(merged);
                         }
@@ -861,11 +870,21 @@ impl BranchPlan {
                 }
             }
             if next.is_empty() {
-                return;
+                return Vec::new();
             }
             std::mem::swap(&mut acc, &mut next);
         }
-        for id in acc {
+        acc
+    }
+
+    fn evaluate_into(
+        &self,
+        tree: &XmlTree,
+        index: &TreeIndex,
+        store: &mut AssignStore,
+        out: &mut BTreeSet<Vec<Value>>,
+    ) {
+        for id in self.join(tree, index, store, false) {
             let assignment = store.get(id);
             out.insert(
                 self.head

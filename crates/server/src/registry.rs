@@ -79,9 +79,11 @@ pub(crate) struct Registry {
     artifact_misses: AtomicU64,
 }
 
-/// What [`Registry::put`] tells the caller beyond the wire response: a
-/// rebind that *changed* the setting's semantics must invalidate the
-/// setting's derived store state (cached answers, validation baselines).
+/// What [`Registry::put`] tells the caller beyond the wire response: after
+/// a rebind that *changed* the setting's text, the setting's cached answers
+/// can be freed. (They could not be served anyway: each is tagged with the
+/// content hash it was computed under, and a hit requires the binding's
+/// current hash.)
 #[derive(Debug)]
 pub(crate) struct PutOutcome {
     pub content_hash: u64,
@@ -141,11 +143,12 @@ impl Registry {
         )
     }
 
-    /// Is a setting bound to `setting_id`? Bindings are never removed, so
-    /// once this is true it stays true.
-    pub(crate) fn is_bound(&self, setting_id: u64) -> bool {
+    /// The content hash of the text bound to `setting_id`, or `None` when
+    /// nothing is bound. Bindings are never removed, so once this is `Some`
+    /// it stays `Some`; a rebind changes the hash. Never compiles.
+    pub(crate) fn bound_hash(&self, setting_id: u64) -> Option<u64> {
         let inner = self.inner.lock().expect("registry poisoned");
-        inner.bindings.contains_key(&setting_id)
+        inner.bindings.get(&setting_id).map(|b| b.hash)
     }
 
     /// Parse, canonicalize, compile (or reuse) and bind `text` to
@@ -204,12 +207,15 @@ impl Registry {
         })
     }
 
-    /// The compiled setting for `setting_id`, recompiling from retained
-    /// text if the artifact was evicted.
+    /// The compiled setting for `setting_id` and the content hash of the
+    /// text it was compiled from, recompiling from retained text if the
+    /// artifact was evicted. The hash tags whatever is computed with the
+    /// artifact, so a result can be told apart from one computed under a
+    /// later rebind.
     pub(crate) fn resolve(
         &self,
         setting_id: u64,
-    ) -> Result<Arc<CompiledSetting<'static>>, WireError> {
+    ) -> Result<(Arc<CompiledSetting<'static>>, u64), WireError> {
         let (hash, text) = {
             let mut inner = self.inner.lock().expect("registry poisoned");
             let binding = inner.bindings.get(&setting_id).ok_or_else(|| {
@@ -221,7 +227,7 @@ impl Registry {
             let (hash, text) = (binding.hash, Arc::clone(&binding.text));
             if let Some(compiled) = Self::touch(&mut inner, hash) {
                 self.artifact_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(compiled);
+                return Ok((compiled, hash));
             }
             (hash, text)
         };
@@ -238,10 +244,10 @@ impl Registry {
         let compiled = Arc::new(CompiledSetting::new_owned(Arc::new(setting)));
         let mut inner = self.inner.lock().expect("registry poisoned");
         if let Some(entry) = inner.compiled.get(&hash) {
-            return Ok(Arc::clone(&entry.setting)); // racing resolve won
+            return Ok((Arc::clone(&entry.setting), hash)); // racing resolve won
         }
         self.insert_compiled(&mut inner, hash, Arc::clone(&compiled), text.len() as u64);
-        Ok(compiled)
+        Ok((compiled, hash))
     }
 
     /// One row per binding, ascending by binding id.
@@ -430,6 +436,10 @@ mod tests {
         assert!(!same.rebound);
         let changed = r.put(1, &text("q")).expect("rebind different");
         assert!(changed.rebound);
+        // The binding's hash, which tags every cached answer, moved too.
+        assert_eq!(r.bound_hash(1), Some(changed.content_hash));
+        assert_ne!(changed.content_hash, same.content_hash);
+        assert_eq!(r.bound_hash(2), None);
     }
 
     #[test]
@@ -442,8 +452,9 @@ mod tests {
         let row = rows.iter().find(|e| e.bind_id == 1).expect("still listed");
         assert!(!row.compiled);
         // Resolving a cold binding recompiles from the retained text.
-        let compiled = r.resolve(1).expect("resolve recompiles");
+        let (compiled, hash) = r.resolve(1).expect("resolve recompiles");
         assert_eq!(compiled.setting().stds.len(), 1);
+        assert_eq!(Some(hash), r.bound_hash(1));
         assert!(
             r.list()
                 .iter()

@@ -17,7 +17,10 @@
 //! ```
 //!
 //! * The **event loop** owns every socket. It never parses documents or
-//!   chases anything — it only moves bytes, frames, and verdicts.
+//!   chases anything — it only moves bytes, frames, and verdicts. It
+//!   answers `Ping`, `Hello` and admission refusals itself, and so it
+//!   does a stored exchange request whose answer is cached and current
+//!   (see *Loop hits* below).
 //! * **Workers** decode documents/queries (the expensive parsing stays off
 //!   the loop), run the exchange pipeline on the addressed setting's shared
 //!   [`xdx_core::CompiledSetting`] (per-setting caches warm up once for all
@@ -55,6 +58,23 @@
 //! connection (error frame, flush, close), since the stream can no longer
 //! be framed safely; merely malformed payloads only fail their own request.
 //!
+//! ## Loop hits
+//!
+//! A stored exchange request (`*Stored`, ops 10–13) whose answer sits in
+//! the document's result cache is bookkeeping, not work, so the loop
+//! answers it without the four thread handoffs of the pool path. It does
+//! so only when every check is cheap and non-blocking: the setting id is
+//! bound (a registry map lookup that never compiles), the store mutex is
+//! free (`try_lock`; the loop never waits on it), the cached answer was
+//! computed at the document's current version under the binding's current
+//! artifact, and its encoding fits one [`ServerConfig::chunk_bytes`]
+//! segment. The reply is encoded from the cached answer while the lock is
+//! held — nothing is cloned — and is the exact frame a worker would have
+//! sent. Anything else goes to the pool as before. Stored misses, for
+//! their part, take an `Arc` clone of the resident tree under the lock and
+//! compute unlocked, so the lock only ever covers pointer work and cache
+//! bookkeeping.
+//!
 //! ## Metrics
 //!
 //! Every metric lives in one private `ServerStats`: counters are named
@@ -85,7 +105,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
-use xdx_core::cache::CacheKey;
+use xdx_core::cache::{CacheKey, DocResultCache};
 use xdx_core::compiled::{CompiledSetting, ExchangeScratch};
 use xdx_core::settext::setting_to_text;
 use xdx_core::setting::DataExchangeSetting;
@@ -96,12 +116,13 @@ use xdx_patterns::plan::QueryPlan;
 use xdx_patterns::query::UnionQuery;
 use xdx_store::{decode_edits_exact, DocKey, DocStore, StoreConfig, StoreError};
 use xdx_xmltree::binary::ByteSink;
-use xdx_xmltree::XmlTree;
+use xdx_xmltree::{Value, XmlTree};
 
 /// The server's resident store: documents plus version-tagged cached
-/// [`DocAnswer`]s, serialized behind one mutex (ops hold it only for O(doc)
-/// copies and bookkeeping — the chase itself runs unlocked).
-type ServerStore = Mutex<DocStore<DocAnswer>>;
+/// answers, serialized behind one mutex. Queries hold it only for pointer
+/// work and cache bookkeeping (a miss takes an `Arc` of the tree and
+/// computes unlocked); mutations hold it for the edit and its WAL append.
+type ServerStore = Mutex<DocStore<StoredAnswer>>;
 
 /// Maximum simultaneous connections; beyond it, new sockets are accepted and
 /// immediately closed.
@@ -439,6 +460,11 @@ struct ServerStats {
     store_cache_hits: AtomicU64,
     /// Stored-query answers that had to be computed.
     store_cache_misses: AtomicU64,
+    /// Stored-query hits the event loop answered itself.
+    loop_hits: AtomicU64,
+    /// Stored-query hits the event loop passed to the pool: the store lock
+    /// was busy, or the reply outgrew one segment.
+    loop_hit_fallbacks: AtomicU64,
     /// Requests whose wall time reached
     /// [`ServerConfig::slow_request_threshold`].
     slow_requests: AtomicU64,
@@ -473,6 +499,8 @@ impl ServerStats {
             inflight_highwater: AtomicU64::new(0),
             store_cache_hits: AtomicU64::new(0),
             store_cache_misses: AtomicU64::new(0),
+            loop_hits: AtomicU64::new(0),
+            loop_hit_fallbacks: AtomicU64::new(0),
             slow_requests: AtomicU64::new(0),
             assign_highwater: AtomicU64::new(0),
             chase_steps: Histogram::new(),
@@ -499,6 +527,8 @@ impl ServerStats {
             ("server.busy_rejected", load(&self.busy_rejected)),
             ("server.goaway_rejected", load(&self.goaway_rejected)),
             ("server.inflight_highwater", load(&self.inflight_highwater)),
+            ("server.loop_hit_fallbacks", load(&self.loop_hit_fallbacks)),
+            ("server.loop_hits", load(&self.loop_hits)),
             ("server.reaped_idle", load(&self.reaped_idle)),
             ("server.reaped_slow", load(&self.reaped_slow)),
             ("server.slow_requests", load(&self.slow_requests)),
@@ -882,6 +912,7 @@ impl Server {
                 control: &control,
                 shared: &shared,
                 registry,
+                store: store.as_deref(),
                 stats,
                 epoll,
                 conns: Vec::new(),
@@ -965,8 +996,8 @@ fn worker_loop(
                 // Resolve the addressed compiled setting: an LRU/cache
                 // hit is an `Arc` clone; a cold binding recompiles from
                 // its retained text right here, on this worker.
-                let compiled = match registry.resolve(setting_id) {
-                    Ok(compiled) => compiled,
+                let (compiled, artifact) = match registry.resolve(setting_id) {
+                    Ok(resolved) => resolved,
                     Err(e) => {
                         writer.whole(ResponseBody::Error(e));
                         continue;
@@ -978,12 +1009,13 @@ fn worker_loop(
                 scratch.reset_counters();
                 respond(
                     &compiled,
+                    artifact,
                     store,
                     stats,
                     config.wal_checkpoint_bytes,
                     &mut scratch,
                     setting_id,
-                    body,
+                    &body,
                     job.codec,
                     writer,
                 );
@@ -1005,9 +1037,10 @@ fn worker_loop(
 }
 
 /// Answer one registry op (v3). A rebind that changes a setting's text
-/// invalidates that setting's derived store state — cached answers and
-/// validation baselines — while stored documents and versions survive
-/// untouched (they belong to the setting id, not the compiled artifact).
+/// frees that setting's cached answers, which could no longer be served
+/// (each is tagged with the artifact that computed it); stored documents
+/// and versions survive untouched (they belong to the setting id, not the
+/// compiled artifact).
 fn registry_op(
     registry: &Registry,
     store: Option<&ServerStore>,
@@ -1054,7 +1087,7 @@ fn mutate<T>(
     store: &ServerStore,
     wal_checkpoint_bytes: u64,
     mut w: ResponseWriter<'_>,
-    apply: impl FnOnce(&mut DocStore<DocAnswer>) -> Result<T, StoreError>,
+    apply: impl FnOnce(&mut DocStore<StoredAnswer>) -> Result<T, StoreError>,
     ok: impl FnOnce(T) -> ResponseBody,
 ) {
     let mut s = store.lock().expect("store poisoned");
@@ -1231,6 +1264,24 @@ impl ByteSink for ResponseWriter<'_> {
     }
 }
 
+/// A [`ByteSink`] that keeps at most `limit` bytes: past it, it only
+/// notes the overflow and drops the rest, so an encoding abandoned there
+/// never holds more than `limit` bytes.
+struct BoundedSink {
+    bytes: Vec<u8>,
+    limit: usize,
+    overflow: bool,
+}
+
+impl ByteSink for BoundedSink {
+    fn put(&mut self, bytes: &[u8]) {
+        self.overflow |= self.bytes.len() + bytes.len() > self.limit;
+        if !self.overflow {
+            self.bytes.extend_from_slice(bytes);
+        }
+    }
+}
+
 /// Parse every document of a request, or fail the whole request with the
 /// index of the offending document.
 fn parse_docs(docs: &[WireDoc]) -> Result<Vec<XmlTree>, WireError> {
@@ -1252,11 +1303,12 @@ fn store_disabled() -> WireError {
 }
 
 /// Answer a stored-document query through the per-document result cache:
-/// under the lock, return a hit computed at the current version, or clone
-/// the tree out; compute *unlocked* (the chase can be long); re-lock and
-/// insert tagged with the version the computation actually saw — if an edit
-/// landed meanwhile the insert is discarded and the response still reflects
-/// the version it announced to no one (stored queries carry no version, so
+/// under the lock, return a current hit (see [`current_answer`]) or take a
+/// shared reference to the tree; compute *unlocked* (the chase can be
+/// long); re-lock and insert tagged with the version the computation
+/// actually saw and the artifact that computed it — if an edit landed
+/// meanwhile the insert is discarded and the response still reflects the
+/// version it announced to no one (stored queries carry no version, so
 /// serving the version that was current at dispatch is linearizable).
 fn stored_answer(
     store: &ServerStore,
@@ -1264,33 +1316,59 @@ fn stored_answer(
     w: &mut ResponseWriter<'_>,
     doc: DocKey,
     key: CacheKey,
+    artifact: u64,
     compute: impl FnOnce(&XmlTree) -> DocAnswer,
 ) -> Result<DocAnswer, WireError> {
     let (tree, version) = {
         let mut s = store.lock().expect("store poisoned");
-        if let Some(hit) = s.result_cache(doc).and_then(|c| c.get(&key).cloned()) {
+        let hit = s
+            .result_cache(doc)
+            .and_then(|c| current_answer(c, &key, artifact).cloned());
+        if let Some(hit) = hit {
             stats.store_cache_hits.fetch_add(1, Ordering::Relaxed);
             drop(s);
             // A cache hit is pure store time: lock + lookup + clone.
             w.step(PHASE_STORE);
             return Ok(hit);
         }
-        match s.get(doc) {
-            Ok((tree, version)) => (tree.clone(), version),
-            Err(e) => return Err(WireError::of_store_error(&e)),
-        }
+        s.get_shared(doc)
+            .map_err(|e| WireError::of_store_error(&e))?
     };
     w.step(PHASE_STORE);
     stats.store_cache_misses.fetch_add(1, Ordering::Relaxed);
-    let value = compute(&tree);
+    let answer = compute(&tree);
+    // Let go of this version first: an edit that takes the lock before the
+    // insert below then writes in place instead of copying the tree.
+    drop(tree);
     w.step(PHASE_EXEC);
     let mut s = store.lock().expect("store poisoned");
     if let Some(cache) = s.result_cache(doc) {
-        cache.insert(key, version, value.clone());
+        let stored = StoredAnswer {
+            artifact,
+            answer: answer.clone(),
+        };
+        cache.insert(key, version, stored);
     }
     drop(s);
     w.step(PHASE_STORE);
-    Ok(value)
+    Ok(answer)
+}
+
+/// The answer `cache` holds for `key`, if it may be served: computed at
+/// the document's current version (the cache's own check) and under
+/// `artifact`, the content hash of the setting text bound now. An answer
+/// computed under an earlier binding of the same id — say, by a miss that
+/// resolved the old setting just before a rebind and inserted just after
+/// it — is never served.
+fn current_answer<'c>(
+    cache: &'c mut DocResultCache<StoredAnswer>,
+    key: &CacheKey,
+    artifact: u64,
+) -> Option<&'c DocAnswer> {
+    cache
+        .get(key)
+        .filter(|stored| stored.artifact == artifact)
+        .map(|stored| &stored.answer)
 }
 
 /// One of the paper's per-document questions, asked of every document an
@@ -1321,10 +1399,47 @@ enum DocAnswer {
     Boolean(Result<bool, SolutionError>),
 }
 
+impl DocAnswer {
+    /// Could the answer's encoding fit `limit` bytes? `false` when a lower
+    /// bound on it already exceeds `limit`: under either codec, every tree
+    /// node and every answer tuple takes at least a byte, plus the bytes of
+    /// its attribute values or answer strings. Counting stops past `limit`,
+    /// so the event loop pays O(`limit`), not O(answer), to pass over a
+    /// large answer.
+    fn may_fit(&self, limit: usize) -> bool {
+        let mut bytes = 0usize;
+        let mut add = |n: usize| {
+            bytes = bytes.saturating_add(n);
+            bytes <= limit
+        };
+        match self {
+            DocAnswer::Solution(Ok(tree)) => tree.preorder().all(|node| {
+                add(1)
+                    && tree.attrs(node).values().all(|value| match value {
+                        Value::Const(s) => add(s.len()),
+                        Value::Null(_) => true,
+                    })
+            }),
+            DocAnswer::Answers(Ok(tuples)) => tuples
+                .iter()
+                .all(|tuple| add(1) && tuple.iter().all(|s| add(s.len()))),
+            _ => true,
+        }
+    }
+}
+
+/// A cached [`DocAnswer`] tagged with the content hash of the setting text
+/// whose compiled artifact computed it (see [`current_answer`]).
+#[derive(Debug, Clone)]
+struct StoredAnswer {
+    artifact: u64,
+    answer: DocAnswer,
+}
+
 /// Where an exchange request's documents come from.
-enum DocSource {
+enum DocSource<'r> {
     /// Shipped in the request, in the connection's codec.
-    Shipped(Vec<WireDoc>),
+    Shipped(&'r [WireDoc]),
     /// One document of the resident store, by id.
     Stored(u64),
 }
@@ -1332,7 +1447,7 @@ enum DocSource {
 /// Split one of the eight exchange requests into its question (a query
 /// op's text still unparsed) and its documents. Any other request comes
 /// back unchanged.
-fn exchange_parts(body: RequestBody) -> Result<(DocOp<String>, DocSource), RequestBody> {
+fn exchange_parts(body: &RequestBody) -> Result<(DocOp<&str>, DocSource<'_>), &RequestBody> {
     use DocSource::{Shipped, Stored};
     use RequestBody as R;
     Ok(match body {
@@ -1340,10 +1455,12 @@ fn exchange_parts(body: RequestBody) -> Result<(DocOp<String>, DocSource), Reque
         R::CanonicalSolution { docs } => (DocOp::Solve, Shipped(docs)),
         R::CertainAnswers { query, docs } => (DocOp::Answers(query), Shipped(docs)),
         R::CertainAnswersBoolean { query, docs } => (DocOp::Boolean(query), Shipped(docs)),
-        R::CheckConsistencyStored { doc_id } => (DocOp::Check, Stored(doc_id)),
-        R::CanonicalSolutionStored { doc_id } => (DocOp::Solve, Stored(doc_id)),
-        R::CertainAnswersStored { query, doc_id } => (DocOp::Answers(query), Stored(doc_id)),
-        R::CertainAnswersBooleanStored { query, doc_id } => (DocOp::Boolean(query), Stored(doc_id)),
+        &R::CheckConsistencyStored { doc_id } => (DocOp::Check, Stored(doc_id)),
+        &R::CanonicalSolutionStored { doc_id } => (DocOp::Solve, Stored(doc_id)),
+        R::CertainAnswersStored { query, doc_id } => (DocOp::Answers(query), Stored(*doc_id)),
+        R::CertainAnswersBooleanStored { query, doc_id } => {
+            (DocOp::Boolean(query), Stored(*doc_id))
+        }
         other => return Err(other),
     })
 }
@@ -1362,7 +1479,7 @@ impl<Q> DocOp<Q> {
     }
 }
 
-impl DocOp<String> {
+impl DocOp<&str> {
     /// Parse the query text, keeping the text for [`DocOp::cache_key`].
     fn parse(&self) -> Result<DocOp<UnionQuery>, WireError> {
         let parse = |text: &str| parse_query(text).map_err(|e| WireError::of_query_error(&e));
@@ -1376,12 +1493,12 @@ impl DocOp<String> {
 
     /// The result-cache key of this question: a query op is keyed by its
     /// source text, so identical questions share one entry.
-    fn cache_key(self) -> CacheKey {
-        match self {
+    fn cache_key(&self) -> CacheKey {
+        match *self {
             DocOp::Check => CacheKey::Consistency,
             DocOp::Solve => CacheKey::CanonicalSolution,
-            DocOp::Answers(text) => CacheKey::CertainAnswers(text),
-            DocOp::Boolean(text) => CacheKey::CertainBoolean(text),
+            DocOp::Answers(text) => CacheKey::CertainAnswers(text.to_string()),
+            DocOp::Boolean(text) => CacheKey::CertainBoolean(text.to_string()),
         }
     }
 }
@@ -1452,7 +1569,7 @@ fn put_answer(w: &mut impl ByteSink, answer: &DocAnswer, codec: Codec) {
 /// Compute one request's response and stream it through `w`. Runs entirely
 /// on a worker thread, with that worker's scratch: document decoding, query
 /// planning (once per request) and [`DocOp::run`] per document. The eight
-/// exchange ops take two arms, one for shipped documents and one for a
+/// exchange ops take two paths, one for shipped documents and one for a
 /// stored document, which answers the shipped op's one-document response
 /// byte for byte; the rest are the store's document ops.
 ///
@@ -1460,15 +1577,19 @@ fn put_answer(w: &mut impl ByteSink, answer: &DocAnswer, codec: Codec) {
 /// *before* the first body byte is streamed, so a logical response is
 /// either one whole error frame or a complete OK stream — never a
 /// half-written success.
+///
+/// `artifact` is the content hash [`Registry::resolve`] returned with
+/// `compiled`; it tags the answers a stored query caches.
 #[allow(clippy::too_many_arguments)]
 fn respond(
     compiled: &CompiledSetting<'_>,
+    artifact: u64,
     store: Option<&ServerStore>,
     stats: &ServerStats,
     wal_checkpoint_bytes: u64,
     scratch: &mut ExchangeScratch,
     setting: u64,
-    body: RequestBody,
+    body: &RequestBody,
     codec: Codec,
     mut w: ResponseWriter<'_>,
 ) {
@@ -1478,7 +1599,7 @@ fn respond(
                 Ok(op) => op,
                 Err(e) => return w.whole(ResponseBody::Error(e)),
             };
-            let trees = match parse_docs(&docs) {
+            let trees = match parse_docs(docs) {
                 Ok(trees) => trees,
                 Err(e) => return w.whole(ResponseBody::Error(e)),
             };
@@ -1516,6 +1637,7 @@ fn respond(
                         &mut w,
                         DocKey::new(setting, doc_id),
                         op.cache_key(),
+                        artifact,
                         |tree| parsed.plan(compiled).run(compiled, tree, scratch),
                     );
                     match answer {
@@ -1537,7 +1659,7 @@ fn respond(
                         store,
                         wal_checkpoint_bytes,
                         w,
-                        |s| s.put(DocKey::new(setting, doc_id), tree),
+                        |s| s.put(DocKey::new(setting, *doc_id), tree),
                         |version| ResponseBody::PutDocOk { version },
                     );
                 }
@@ -1546,7 +1668,7 @@ fn respond(
                     // consistent (version, bytes) pair even if an edit races
                     // in.
                     let mut s = store.lock().expect("store poisoned");
-                    let body = match s.get(DocKey::new(setting, doc_id)) {
+                    let body = match s.get(DocKey::new(setting, *doc_id)) {
                         Ok((tree, version)) => ResponseBody::GetDocOk {
                             version,
                             doc: WireDoc::from_tree(tree, codec),
@@ -1562,7 +1684,7 @@ fn respond(
                     base_version,
                     edits,
                 }) => {
-                    let batch = match decode_edits_exact(&edits) {
+                    let batch = match decode_edits_exact(edits) {
                         Ok(batch) => batch,
                         Err(e) => {
                             return w.whole(ResponseBody::Error(WireError::new(
@@ -1576,7 +1698,7 @@ fn respond(
                         store,
                         wal_checkpoint_bytes,
                         w,
-                        |s| s.edit(DocKey::new(setting, doc_id), base_version, &batch),
+                        |s| s.edit(DocKey::new(setting, *doc_id), *base_version, &batch),
                         |version| ResponseBody::EditDocOk { version },
                     );
                 }
@@ -1584,7 +1706,7 @@ fn respond(
                     store,
                     wal_checkpoint_bytes,
                     w,
-                    |s| s.delete(DocKey::new(setting, doc_id)),
+                    |s| s.delete(DocKey::new(setting, *doc_id)),
                     |()| ResponseBody::DeleteDocOk,
                 ),
                 // `Ping` and `Hello` are answered by the event loop,
@@ -1613,6 +1735,9 @@ struct EventLoop<'e> {
     control: &'e ServerControl,
     shared: &'e Shared,
     registry: &'e Registry,
+    /// The resident store, for loop hits only: the loop takes its lock
+    /// with `try_lock` and never waits on it.
+    store: Option<&'e ServerStore>,
     stats: &'e ServerStats,
     epoll: Epoll,
     conns: Vec<Option<Conn>>,
@@ -1972,11 +2097,13 @@ impl EventLoop<'_> {
     }
 
     /// Decode one request payload and either answer inline (errors, `Ping`,
-    /// `Hello`, `Busy`) or queue a job for the worker pool.
+    /// `Hello`, `Busy`, `GoAway`, loop hits) or queue a job for the worker
+    /// pool.
     fn dispatch_payload(&mut self, slot: usize, payload: &[u8]) {
         // Start the clock before the frame decode so the decode phase
-        // covers it; inline answers (Ping/Hello/errors) drop the trace —
-        // only pool-dispatched requests are measured.
+        // covers it. Loop hits and pool-dispatched requests are measured;
+        // the other inline answers (Ping/Hello/Busy/GoAway/errors) drop
+        // the trace.
         let mut trace = Trace::new();
         let codec = self
             .conns
@@ -2066,6 +2193,14 @@ impl EventLoop<'_> {
             );
             return;
         }
+        let trace = Box::new(ReqTrace {
+            op: request.body.op() as u8,
+            setting: request.setting_id,
+            trace,
+        });
+        let Some(trace) = self.loop_hit(slot, &request, trace) else {
+            return;
+        };
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
@@ -2078,11 +2213,7 @@ impl EventLoop<'_> {
             slot,
             generation: conn.generation,
             codec: conn.codec,
-            trace: Some(Box::new(ReqTrace {
-                op: request.body.op() as u8,
-                setting: request.setting_id,
-                trace,
-            })),
+            trace: Some(trace),
             frame: request,
         };
         self.shared
@@ -2091,6 +2222,79 @@ impl EventLoop<'_> {
             .expect("job queue poisoned")
             .push_back(job);
         self.shared.jobs_ready.notify_one();
+    }
+
+    /// Answer a stored exchange request from the result cache, on the loop,
+    /// when its answer is current and fits one segment (see the module
+    /// docs, *Loop hits*). Returns the trace back, untouched but for its
+    /// store and encode phases, when the pool must answer instead; a loop
+    /// hit holds no in-flight budget.
+    fn loop_hit(
+        &mut self,
+        slot: usize,
+        request: &RequestFrame,
+        mut t: Box<ReqTrace>,
+    ) -> Option<Box<ReqTrace>> {
+        let Some(store) = self.store else {
+            return Some(t);
+        };
+        let Ok((op, DocSource::Stored(doc_id))) = exchange_parts(&request.body) else {
+            return Some(t);
+        };
+        let Some(artifact) = self.registry.bound_hash(request.setting_id) else {
+            return Some(t);
+        };
+        // A closed connection takes no answer, from the loop or the pool.
+        let codec = self.conns.get(slot).and_then(Option::as_ref)?.codec;
+        let fallback = |t| {
+            self.stats
+                .loop_hit_fallbacks
+                .fetch_add(1, Ordering::Relaxed);
+            Some(t)
+        };
+        // A busy lock means a worker is inside the store; a poisoned one
+        // is the pool's to report.
+        let Ok(mut s) = store.try_lock() else {
+            return fallback(t);
+        };
+        let doc = DocKey::new(request.setting_id, doc_id);
+        let Some(answer) = s
+            .result_cache(doc)
+            .and_then(|c| current_answer(c, &op.cache_key(), artifact))
+        else {
+            return Some(t);
+        };
+        t.trace.step(PHASE_STORE);
+        let chunk_bytes = self.config.chunk_bytes;
+        if !answer.may_fit(chunk_bytes) {
+            return fallback(t);
+        }
+        // The frame a worker's one-segment reply would be: the length and
+        // header, then the one-document body, encoded under the lock
+        // straight from the cached answer.
+        let mut frame = BoundedSink {
+            bytes: Vec::new(),
+            limit: SEG_HEADER + chunk_bytes,
+            overflow: false,
+        };
+        frame.put(&[0u8; 4]);
+        wire::put_response_header(&mut frame, wire::STATUS_OK, request.id);
+        wire::put_list_header(&mut frame, op.wire_op(), 1);
+        put_answer(&mut frame, answer, codec);
+        drop(s);
+        if frame.overflow {
+            return fallback(t);
+        }
+        wire::patch_frame_len(&mut frame.bytes);
+        self.stats.store_cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.stats.loop_hits.fetch_add(1, Ordering::Relaxed);
+        t.trace.step(PHASE_ENCODE);
+        let seg = WqSeg {
+            bytes: frame.bytes,
+            trace: Some(t),
+        };
+        self.enqueue(slot, seg);
+        None
     }
 
     /// Move worker completions into their connections' write queues. The
@@ -2139,11 +2343,16 @@ impl EventLoop<'_> {
     /// Encode a loop-generated response and queue it for writing.
     fn enqueue_response(&mut self, slot: usize, frame: &ResponseFrame) {
         let bytes = wire::encode_response_frame(frame);
+        self.enqueue(slot, WqSeg { bytes, trace: None });
+    }
+
+    /// Queue one framed segment the loop produced itself and flush.
+    fn enqueue(&mut self, slot: usize, seg: WqSeg) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        conn.wq_bytes += bytes.len();
-        conn.wq.push_back(WqSeg { bytes, trace: None });
+        conn.wq_bytes += seg.bytes.len();
+        conn.wq.push_back(seg);
         self.flush(slot);
     }
 
@@ -2274,7 +2483,7 @@ impl EventLoop<'_> {
         let wall = t.trace.wall_ns();
         // Only a bound id gets its own key: bindings are capped and never
         // removed, so requests naming arbitrary ids cannot grow the table.
-        let key = Some(t.setting).filter(|&id| self.registry.is_bound(id));
+        let key = Some(t.setting).filter(|&id| self.registry.bound_hash(id).is_some());
         let set = self.stats.phase_set(t.op, key);
         for i in 0..PHASE_NAMES.len() {
             let ns = t.trace.phase_ns(i);
@@ -2334,6 +2543,63 @@ mod tests {
         ResponseWriter::new(&shared, &control, chunk_bytes, &mut job).whole(body);
         let done = shared.done.into_inner().expect("completion queue");
         done.into_iter().map(|d| d.bytes).collect()
+    }
+
+    #[test]
+    fn answers_cached_under_an_earlier_binding_are_never_served() {
+        let (old, new) = (0xA, 0xB);
+        let key = CacheKey::Consistency;
+        let mut cache = DocResultCache::new(5);
+        // A miss that resolved the old artifact before a rebind inserts
+        // after it, at the current document version.
+        let stored = StoredAnswer {
+            artifact: old,
+            answer: DocAnswer::Consistency(true),
+        };
+        assert!(cache.insert(key.clone(), 5, stored));
+        assert!(current_answer(&mut cache, &key, new).is_none());
+        assert!(current_answer(&mut cache, &key, old).is_some());
+        // The next miss under the new binding replaces it.
+        let stored = StoredAnswer {
+            artifact: new,
+            answer: DocAnswer::Consistency(false),
+        };
+        cache.insert(key.clone(), 5, stored);
+        assert!(matches!(
+            current_answer(&mut cache, &key, new),
+            Some(DocAnswer::Consistency(false))
+        ));
+        assert!(current_answer(&mut cache, &key, old).is_none());
+    }
+
+    #[test]
+    fn may_fit_counts_nodes_and_value_bytes_up_to_the_limit() {
+        let mut tree = XmlTree::new("r");
+        let child = tree.add_child(tree.root(), "c");
+        tree.set_attr(child, "@v", "x".repeat(100));
+        let solution = DocAnswer::Solution(Ok(tree));
+        assert!(!solution.may_fit(101), "2 nodes + 100 value bytes");
+        assert!(solution.may_fit(102));
+        let tuples = vec![vec!["ab".to_string(), "c".to_string()]; 3];
+        let answers = DocAnswer::Answers(Ok(tuples));
+        assert!(!answers.may_fit(11), "3 tuples of 1 + 3 bytes");
+        assert!(answers.may_fit(12));
+        assert!(DocAnswer::Consistency(true).may_fit(0));
+    }
+
+    #[test]
+    fn a_bounded_sink_keeps_nothing_past_its_limit() {
+        let mut sink = BoundedSink {
+            bytes: Vec::new(),
+            limit: 4,
+            overflow: false,
+        };
+        sink.put(b"abc");
+        assert!(!sink.overflow);
+        sink.put(b"de");
+        sink.put(b"f");
+        assert!(sink.overflow);
+        assert_eq!(sink.bytes, b"abc");
     }
 
     fn answers(tuples: usize) -> ResponseBody {

@@ -1,8 +1,10 @@
 //! The resident document store.
 //!
-//! A [`DocStore`] keeps a set of documents in memory (as [`XmlTree`]s),
-//! makes every acknowledged mutation durable through the WAL, and keeps
-//! per document:
+//! A [`DocStore`] keeps a set of documents in memory (as shared
+//! [`XmlTree`]s: [`DocStore::get_shared`] lends a version out past the
+//! borrow of the store, and edits copy on write while such a reader
+//! holds it), makes every acknowledged mutation durable through the WAL,
+//! and keeps per document:
 //!
 //! * a **version** per document, drawn from a store-wide monotone mutation
 //!   sequence (every `put`/`edit`/`delete` advances it; results computed
@@ -13,7 +15,8 @@
 //!   snapshot" test;
 //! * a version-tagged **result cache** ([`xdx_core::DocResultCache`]) the
 //!   embedder fills with whatever it computes per version (the server
-//!   caches encoded response bodies for byte-identical replays).
+//!   caches each answer tagged with the setting artifact that computed
+//!   it, and replays it byte for byte).
 //!
 //! # Recovery
 //!
@@ -227,8 +230,11 @@ struct Resident<V> {
     /// are never touched again are never decoded (their frames also pass
     /// through the next checkpoint verbatim).
     frame: Option<Vec<u8>>,
-    /// The document (a 1-node placeholder while `frame` is `Some`).
-    tree: XmlTree,
+    /// The document (a 1-node placeholder while `frame` is `Some`). Shared:
+    /// a reader takes an `Arc` clone instead of copying the tree, and a
+    /// mutation writes through [`Arc::make_mut`], which copies only while
+    /// such a reader still holds the old version.
+    tree: Arc<XmlTree>,
     /// Lazily built preorder-rank → node map; `None` after structural edits.
     preorder: Option<Vec<NodeId>>,
     /// Upper bound on the document's binary-encoded size: exact after a
@@ -244,7 +250,7 @@ impl<V> Resident<V> {
     fn new(tree: XmlTree, version: u64, encoded_bytes: usize) -> Resident<V> {
         Resident {
             frame: None,
-            tree,
+            tree: Arc::new(tree),
             preorder: None,
             encoded_bytes,
             cache: DocResultCache::new(version),
@@ -255,7 +261,7 @@ impl<V> Resident<V> {
         let encoded_bytes = frame.len();
         Resident {
             frame: Some(frame),
-            tree: XmlTree::new("pending"),
+            tree: Arc::new(XmlTree::new("pending")),
             preorder: None,
             encoded_bytes,
             cache: DocResultCache::new(version),
@@ -271,7 +277,7 @@ impl<V> Resident<V> {
     fn materialize(&mut self, key: DocKey) -> Result<(), StoreError> {
         if let Some(frame) = self.frame.take() {
             match decode_tree(&frame) {
-                Ok(tree) => self.tree = tree,
+                Ok(tree) => self.tree = Arc::new(tree),
                 Err(e) => {
                     let err = StoreError::Corrupt {
                         context: format!("snapshot frame for document {key} does not decode: {e}"),
@@ -486,7 +492,7 @@ impl<V> DocStore<V> {
                     context: format!("WAL edit of unknown document {}", rec.key),
                 })?;
                 r.materialize(rec.key)?;
-                apply_edits(&mut r.tree, &mut r.preorder, &edits).map_err(|e| {
+                apply_edits(Arc::make_mut(&mut r.tree), &mut r.preorder, &edits).map_err(|e| {
                     StoreError::Corrupt {
                         context: format!("WAL edit of document {} does not apply: {e}", rec.key),
                     }
@@ -542,13 +548,30 @@ impl<V> DocStore<V> {
     /// first access — which is also the only error path
     /// ([`StoreError::UnknownDoc`] aside).
     pub fn get(&mut self, key: impl Into<DocKey>) -> Result<(&XmlTree, u64), StoreError> {
-        let key = key.into();
+        let r = self.materialized(key.into())?;
+        Ok((&r.tree, r.version()))
+    }
+
+    /// As [`DocStore::get`], but the document comes back as a shared
+    /// reference that outlives the borrow of the store: a caller can drop
+    /// its lock and keep reading this version while later edits copy on
+    /// write.
+    pub fn get_shared(
+        &mut self,
+        key: impl Into<DocKey>,
+    ) -> Result<(Arc<XmlTree>, u64), StoreError> {
+        let r = self.materialized(key.into())?;
+        Ok((Arc::clone(&r.tree), r.version()))
+    }
+
+    /// The resident document under `key`, its tree decoded.
+    fn materialized(&mut self, key: DocKey) -> Result<&Resident<V>, StoreError> {
         let r = self
             .docs
             .get_mut(&key)
             .ok_or(StoreError::UnknownDoc { key })?;
         r.materialize(key)?;
-        Ok((&r.tree, r.version()))
+        Ok(r)
     }
 
     /// The document's current version.
@@ -604,7 +627,7 @@ impl<V> DocStore<V> {
         // batch reaches the WAL, so replay can never fail on a record the
         // running store accepted. If the append itself fails, the batch is
         // rolled back so memory never diverges from the log.
-        let applied = apply_edits(&mut r.tree, &mut r.preorder, edits)?;
+        let applied = apply_edits(Arc::make_mut(&mut r.tree), &mut r.preorder, edits)?;
         let version = self.seq + 1;
         if let Err(e) = self.wal.append(&WalRecord {
             key,
@@ -613,7 +636,7 @@ impl<V> DocStore<V> {
         }) {
             // Whatever the log's fate, the batch rolls back in memory so
             // reads keep serving exactly the acknowledged history.
-            applied.rollback(&mut r.tree);
+            applied.rollback(Arc::make_mut(&mut r.tree));
             r.preorder = None;
             return Err(self.wal_failure("WAL append (edit)", e));
         }
@@ -725,7 +748,7 @@ impl<V> DocStore<V> {
             };
             r.encoded_bytes = frame.len();
             if r.tree.arena_len() > 2 * r.tree.size() {
-                r.tree = decode_tree(frame).expect("own encoding always decodes");
+                r.tree = Arc::new(decode_tree(frame).expect("own encoding always decodes"));
                 r.preorder = None;
             }
         }
@@ -1220,6 +1243,33 @@ mod tests {
             None,
             "edit bumped the version"
         );
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn shared_readers_keep_their_version_while_edits_copy_on_write() {
+        let dir = fresh_dir("shared");
+        let mut s = open(&dir);
+        s.put(1, sample()).unwrap();
+        let (old, v1) = s.get_shared(1).unwrap();
+        let before = tree_to_text(&old);
+        let edit = |value: &str| DocEdit::SetAttr {
+            node: 0,
+            name: "@a".into(),
+            value: value.into(),
+        };
+        let v2 = s.edit(1, v1, &[edit("b")]).unwrap();
+        // The reader's version is untouched; the store moved on.
+        assert_eq!(tree_to_text(&old), before);
+        let (new, v) = s.get_shared(1).unwrap();
+        assert_eq!(v, v2);
+        assert!(!Arc::ptr_eq(&old, &new), "the edit copied the shared tree");
+        assert_ne!(tree_to_text(&new), before);
+        // With no other reader left, an edit writes in place.
+        drop((old, new));
+        let at = Arc::as_ptr(&s.get_shared(1).unwrap().0);
+        s.edit(1, v2, &[edit("c")]).unwrap();
+        assert_eq!(Arc::as_ptr(&s.get_shared(1).unwrap().0), at);
         cleanup(&dir);
     }
 

@@ -372,18 +372,30 @@ proptest! {
         let union = UnionQuery::single(query);
 
         let dtd = harness_dtd();
-        let planned = QueryPlan::new(&union, dtd.compiled())
-            .evaluate(&tree, &TreeIndex::new(&tree, dtd.compiled()));
+        let holds = !expected.is_empty();
+        let (plan, index) = (
+            QueryPlan::new(&union, dtd.compiled()),
+            TreeIndex::new(&tree, dtd.compiled()),
+        );
         prop_assert!(
-            planned == expected,
+            plan.evaluate(&tree, &index) == expected,
             "DTD-interned query plan diverged on {}",
             union
         );
-        let dtdless =
-            QueryPlan::without_dtd(&union).evaluate(&tree, &TreeIndex::without_dtd(&tree));
         prop_assert!(
-            dtdless == expected,
+            plan.evaluate_boolean(&tree, &index) == holds,
+            "DTD-interned Boolean plan diverged on {}",
+            union
+        );
+        let (plan, index) = (QueryPlan::without_dtd(&union), TreeIndex::without_dtd(&tree));
+        prop_assert!(
+            plan.evaluate(&tree, &index) == expected,
             "DTD-less query plan diverged on {}",
+            union
+        );
+        prop_assert!(
+            plan.evaluate_boolean(&tree, &index) == holds,
+            "DTD-less Boolean plan diverged on {}",
             union
         );
         prop_assert!(
@@ -391,7 +403,6 @@ proptest! {
             "UnionQuery::evaluate diverged on {}",
             union
         );
-        let holds = !expected.is_empty();
         prop_assert!(
             union.evaluate_boolean(&tree) == holds,
             "UnionQuery::evaluate_boolean diverged on {}",

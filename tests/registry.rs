@@ -365,3 +365,61 @@ fn four_concurrent_workers_answer_in_request_order_byte_for_byte() {
         }
     });
 }
+
+/// The `items` source schema with a different STD: items land in
+/// `out/row(@k)` instead of `out/rec(@k)`.
+const ROWS_TEXT: &str = "source { root db; rule db = item*; rule item = eps; \
+                         attrs item = @k; } target { root out; rule out = row*; \
+                         rule row = eps; attrs row = @k; } \
+                         std out[row(@k=$x)] :- db[item(@k=$x)];";
+
+#[test]
+fn a_rebind_is_never_answered_from_the_previous_settings_cache() {
+    let dir: PathBuf = std::env::temp_dir().join(format!(
+        "xdx-registry-rebind-{}-{}",
+        std::process::id(),
+        DIR_COUNTER.fetch_add(1, Ordering::SeqCst)
+    ));
+    let config = ServerConfig {
+        store_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let doc = item_docs(3).pop().unwrap();
+    let rows = parse_setting(ROWS_TEXT).expect("ROWS_TEXT parses");
+    let expect_items = expect_texts(&items_setting(), std::slice::from_ref(&doc));
+    let expect_rows = expect_texts(&rows, std::slice::from_ref(&doc));
+    assert_ne!(expect_items, expect_rows);
+    let query = UnionQuery::single(
+        ConjunctiveTreeQuery::new(["k"], vec![parse_pattern("rec(@k=$k)").unwrap()]).unwrap(),
+    );
+    with_server(&books_to_writers_setting(), config, |addr, _| {
+        let mut client = connect(addr);
+        client.put_setting(3, ITEMS_TEXT).unwrap();
+        client.set_setting(3);
+        client.put_doc(1, &doc).unwrap();
+        let solution = |client: &mut Client| {
+            let wire = client.canonical_solution_stored(1).unwrap().unwrap();
+            vec![tree_to_text(&wire.to_tree().unwrap())]
+        };
+        // Computed, then served from the cache.
+        for _ in 0..2 {
+            assert_eq!(solution(&mut client), expect_items);
+            let answers = client.certain_answers_stored(&query, 1).unwrap().unwrap();
+            assert_eq!(answers.len(), 3);
+        }
+        let stats = client.stats().unwrap();
+        assert!(stats.counter("store.cache_hits").unwrap() >= 2);
+
+        let (_, reused) = client.put_setting(3, ROWS_TEXT).unwrap();
+        assert!(!reused, "different text compiles anew");
+        for _ in 0..2 {
+            assert_eq!(solution(&mut client), expect_rows);
+            let answers = client.certain_answers_stored(&query, 1).unwrap().unwrap();
+            assert!(
+                answers.is_empty(),
+                "no `rec` under the new STD: {answers:?}"
+            );
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}

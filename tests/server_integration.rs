@@ -1179,6 +1179,8 @@ fn stats_rows_ascend_and_one_snapshot_feeds_wire_handle_and_prometheus() {
                 "server.busy_rejected",
                 "server.goaway_rejected",
                 "server.inflight_highwater",
+                "server.loop_hit_fallbacks",
+                "server.loop_hits",
                 "server.reaped_idle",
                 "server.reaped_slow",
                 "server.slow_requests",
@@ -1262,4 +1264,248 @@ fn unbound_setting_ids_share_one_phase_key() {
         assert!(after.histogram("req.solution.s0.total").is_some());
         assert!(after.histograms.iter().all(|h| !h.name.contains(".s1000.")));
     });
+}
+
+// ---------------------------------------------------------------------------
+// Loop hits: current stored answers served by the event loop itself
+// ---------------------------------------------------------------------------
+
+/// A fresh directory for one store-backed test.
+fn store_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "xdx-server-{tag}-{}-{}",
+        std::process::id(),
+        DIR_COUNTER.fetch_add(1, Ordering::SeqCst)
+    ))
+}
+
+/// The four stored exchange ops against `doc_id`.
+fn stored_ops(doc_id: u64) -> [RequestBody; 4] {
+    let query = title_query().to_string();
+    [
+        RequestBody::CheckConsistencyStored { doc_id },
+        RequestBody::CanonicalSolutionStored { doc_id },
+        RequestBody::CertainAnswersStored {
+            query: query.clone(),
+            doc_id,
+        },
+        RequestBody::CertainAnswersBooleanStored { query, doc_id },
+    ]
+}
+
+/// Send `body` and return the body of its reply.
+fn round_trip(client: &mut Client, body: RequestBody) -> ResponseBody {
+    let id = client.send(body).unwrap();
+    let resp = client.recv().unwrap();
+    assert_eq!(resp.id, id);
+    resp.body
+}
+
+/// The counter `name` as the server's own handle reads it now.
+fn counter(stats: &StatsHandle, name: &str) -> u64 {
+    stats.snapshot().counter(name).unwrap_or(0)
+}
+
+#[test]
+fn current_stored_hits_are_answered_by_the_event_loop() {
+    let setting = books_to_writers_setting();
+    let docs = sources(3);
+    let dir = store_dir("loop-hits");
+    with_stats_server(&setting, store_config(&dir), |addr, _, stats| {
+        for (doc_id, binary) in [(1u64, false), (2, true)] {
+            let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
+            if binary {
+                client.use_binary().unwrap();
+            }
+            client.put_doc(doc_id, &docs[doc_id as usize]).unwrap();
+            for (first, second) in stored_ops(doc_id).into_iter().zip(stored_ops(doc_id)) {
+                let hits = counter(stats, "server.loop_hits");
+                let misses = counter(stats, "store.cache_misses");
+                let computed = round_trip(&mut client, first);
+                assert!(!matches!(computed, ResponseBody::Error(_)), "{computed:?}");
+                assert_eq!(counter(stats, "store.cache_misses"), misses + 1);
+                assert_eq!(
+                    counter(stats, "server.loop_hits"),
+                    hits,
+                    "a miss is the pool's"
+                );
+                let cache_hits = counter(stats, "store.cache_hits");
+                let cached = round_trip(&mut client, second);
+                assert_eq!(counter(stats, "server.loop_hits"), hits + 1);
+                assert_eq!(counter(stats, "store.cache_hits"), cache_hits + 1);
+                assert_eq!(cached, computed, "binary={binary}: a loop hit differs");
+            }
+
+            // An edit moves the version: the next stored query is a miss
+            // that sees the edited document, never a stale hit.
+            use xml_data_exchange::store::DocEdit;
+            client
+                .edit_doc(
+                    doc_id,
+                    0,
+                    &[DocEdit::SetAttr {
+                        node: 2,
+                        name: "@title".into(),
+                        value: "Edited".into(),
+                    }],
+                )
+                .unwrap();
+            let (hits, misses) = (
+                counter(stats, "server.loop_hits"),
+                counter(stats, "store.cache_misses"),
+            );
+            let stored = client
+                .certain_answers_stored(&title_query(), doc_id)
+                .unwrap();
+            assert_eq!(counter(stats, "store.cache_misses"), misses + 1);
+            assert_eq!(counter(stats, "server.loop_hits"), hits);
+            let (edited, _) = client.get_doc(doc_id).unwrap();
+            let shipped = client
+                .certain_answers(&title_query(), std::slice::from_ref(&edited))
+                .unwrap();
+            assert_eq!(stored.unwrap(), shipped[0].clone().unwrap());
+            assert!(shipped[0]
+                .as_ref()
+                .unwrap()
+                .contains(&vec!["Edited".to_string()]));
+        }
+        assert_eq!(counter(stats, "server.loop_hit_fallbacks"), 0);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cached_answers_over_one_segment_stream_from_the_pool() {
+    let setting = books_to_writers_setting();
+    let chunk_bytes = 1024;
+    let engine = BatchEngine::new(&setting).parallelism(1);
+    // Doc 7's solution has more nodes than a segment has bytes, so the
+    // loop passes it on before encoding anything; doc 8's has fewer, so
+    // the loop starts encoding it and gives up when the segment overflows.
+    let docs = [
+        (7u64, sources(40).pop().unwrap()),
+        (8, sources(12).pop().unwrap()),
+    ];
+    let solutions: Vec<XmlTree> = docs
+        .iter()
+        .map(|(_, doc)| {
+            let batch = engine.canonical_solutions_batch(std::slice::from_ref(doc));
+            batch.into_iter().next().unwrap().unwrap()
+        })
+        .collect();
+    assert!(solutions[0].size() > chunk_bytes);
+    assert!(solutions[1].size() <= chunk_bytes);
+    let dir = store_dir("loop-fallback");
+    let config = ServerConfig {
+        chunk_bytes,
+        ..store_config(&dir)
+    };
+    with_stats_server(&setting, config, |addr, _, stats| {
+        let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
+        client.use_binary().unwrap();
+        for (fallbacks, ((doc_id, doc), solution)) in (1..).zip(docs.iter().zip(&solutions)) {
+            let doc_id = *doc_id;
+            client.put_doc(doc_id, doc).unwrap();
+            let computed = round_trip(&mut client, RequestBody::CanonicalSolutionStored { doc_id });
+            assert!(client.last_response_chunk_count() >= 2);
+            let cache_hits = counter(stats, "store.cache_hits");
+            let cached = round_trip(&mut client, RequestBody::CanonicalSolutionStored { doc_id });
+            assert_eq!(counter(stats, "server.loop_hit_fallbacks"), fallbacks);
+            assert_eq!(counter(stats, "server.loop_hits"), 0);
+            assert_eq!(counter(stats, "store.cache_hits"), cache_hits + 1);
+            assert!(
+                client.last_response_chunk_count() >= 2,
+                "the hit streamed in {} segments",
+                client.last_response_chunk_count()
+            );
+            assert_eq!(cached, computed);
+            let ResponseBody::Solutions(served) = cached else {
+                panic!("expected Solutions, got {cached:?}");
+            };
+            assert_eq!(
+                tree_to_text(&served[0].as_ref().unwrap().to_tree().unwrap()),
+                tree_to_text(solution)
+            );
+        }
+        // A small answer of the same document still fits one segment.
+        client.check_consistency_stored(7).unwrap();
+        assert!(client.check_consistency_stored(7).unwrap());
+        assert_eq!(counter(stats, "server.loop_hits"), 1);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_draining_server_answers_cached_stored_queries_with_goaway() {
+    use xdx_server::WireDoc;
+    let setting = books_to_writers_setting();
+    let dir = store_dir("loop-drain");
+    let config = ServerConfig {
+        workers: 1,
+        ..store_config(&dir)
+    };
+    let server = Server::bind(&setting, Some("127.0.0.1:0"), None, config).unwrap();
+    let addr = server.tcp_addr().unwrap();
+    let control = server.control();
+    let stats = server.stats_handle();
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(move || server.run());
+        let mut client = Client::connect_tcp(&addr.to_string()).unwrap();
+        client.put_doc(1, &sources(2)[1]).unwrap();
+        assert!(client.check_consistency_stored(1).unwrap());
+        assert!(client.check_consistency_stored(1).unwrap());
+        assert_eq!(counter(&stats, "server.loop_hits"), 1);
+
+        // Keep the connection unsettled with heavy work on the one
+        // worker, so the drain does not close it at once.
+        let heavy: Vec<WireDoc> = sources(64)
+            .iter()
+            .map(|t| WireDoc::from_tree(t, client.codec()))
+            .collect();
+        let in_flight: Vec<u64> = (0..4)
+            .map(|_| {
+                client
+                    .send(RequestBody::CanonicalSolution {
+                        docs: heavy.clone(),
+                    })
+                    .unwrap()
+            })
+            .collect();
+        // The stored queries above were sequential (highwater 1): a
+        // highwater of 2 means heavy work is in flight.
+        while counter(&stats, "server.inflight_highwater") < 2 {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        control.drain(std::time::Duration::from_secs(60));
+        let rejected = client
+            .send(RequestBody::CheckConsistencyStored { doc_id: 1 })
+            .unwrap();
+        let mut replies = std::collections::HashMap::new();
+        while replies.len() < in_flight.len() + 1 {
+            let resp = client.recv().unwrap();
+            replies.insert(resp.id, resp.body);
+        }
+        assert_eq!(replies[&rejected], ResponseBody::GoAway);
+        // Heavy requests admitted before the drain finish; any the loop
+        // decoded after it were refused too.
+        for id in in_flight {
+            assert!(
+                matches!(
+                    replies[&id],
+                    ResponseBody::Solutions(_) | ResponseBody::GoAway
+                ),
+                "{:?}",
+                replies[&id]
+            );
+        }
+        assert_eq!(
+            counter(&stats, "server.loop_hits"),
+            1,
+            "no hit after the drain"
+        );
+        assert!(counter(&stats, "server.goaway_rejected") >= 1);
+        drop(client);
+        handle.join().expect("server thread").expect("clean run");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
